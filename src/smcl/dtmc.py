@@ -46,6 +46,10 @@ class ExplorationState:
     # cached because the merge relation compares it for every candidate.
     reward_gain_argmax: tuple[int, ...] | None = None
     is_sink: bool = False
+    # The state's best-response future (``similarity.Future``) while the
+    # explorer still needs it: shared by the merge attempts against a
+    # candidate, and its first step becomes the adopted state's successor.
+    future: object | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def sink(cls, state_id: int, depth: int) -> "ExplorationState":

@@ -5,15 +5,42 @@ smooth best response with temperature ``tau0`` (the one probabilistic step);
 every later state plays deterministic best responses.  Each positive-
 probability joint action of a dequeued state yields a candidate successor,
 which is either folded into an earlier state accepted by the merge relation
-(scanning newest first) or appended and enqueued.  When the depth bound is
-hit with work remaining, the open frontier is redirected into an absorbing
-sink state.
+or appended and enqueued.  When the depth bound is hit with work remaining,
+the open frontier is redirected into an absorbing sink state.
+
+Where a candidate may merge is kept in a merge index:
+
+* **Buckets** key the adopted non-initial states by ``(pure_action,
+  reward_gain_argmax)``; both must be equal for a merge, so a candidate
+  looks at one bucket only.
+* **Branches** give generation-tree distances in O(1).  Every non-initial
+  state is pure and has one child, so the tree is the initial state plus
+  one path per first-step branch.  An entry on the candidate's branch is an
+  ancestor at distance ``candidate.depth - entry.depth``; any other entry
+  has no path.  A path replay's chain is a slice of the branch.
+* **A pre-filter** tests a whole bucket at once, with array operations over
+  the entries' stacked expected rewards, against the preconditions of
+  ``similar()``: the shared-prefix guard, the parent's executed reward, the
+  no-path predecessor and reward-direction checks, and the first step of a
+  path replay.  Each test uses the scalar code's float expressions, so it
+  may pass an entry that ``similar()`` then rejects but never rejects one
+  it would accept.  Small buckets skip it.  The survivors go to
+  ``similar()``, newest first, and the first acceptance wins, exactly as a
+  scan of the whole bucket would decide.
+* **One future per candidate** (``similarity.Future``): path replays from
+  the candidate and its side of a lockstep replay follow the candidate's
+  own best-response trajectory, so all merge attempts share one lazily
+  extended list of steps.  If the candidate is adopted, ``successor()``
+  reuses its first step; the rest is dropped.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from . import learners
 from .dtmc import (
@@ -26,7 +53,7 @@ from .dtmc import (
     reward_gain_argmax,
 )
 from .game import Game, argmax_with_ties, smooth_best_response
-from .similarity import SimilarityContext, _rewards_of, similar
+from .similarity import Future, SimilarityContext, _rewards_of, similar
 
 
 class StateBudgetError(RuntimeError):
@@ -83,10 +110,15 @@ def successor(
     The candidate carries no id (-1) until the explorer adopts it.
     """
     action = game.validate_joint_action(action)
-    learner = learners.observe(state.learner, game, action)
-    rewards = tuple(_rewards_of(game, learner))
-    if rule == "br":
+    future = state.future
+    if (rule == "br" and future is not None and len(future.steps) > 1
+            and action == state.pure_action):
+        learner, rewards, choice = future.steps[1]
+    else:
+        learner = learners.observe(state.learner, game, action)
+        rewards = tuple(_rewards_of(game, learner))
         choice = tuple(argmax_with_ties(r) for r in rewards)
+    if rule == "br":
         strategy = tuple(
             one_hot(choice[i], game.action_counts[i])
             for i in range(game.num_players)
@@ -135,22 +167,222 @@ def _initial_state(game: Game, learner, tau0: float) -> ExplorationState:
     )
 
 
+class _Rows:
+    """Integer and float columns that grow in place, doubling capacity."""
+
+    __slots__ = ("size", "ints", "floats")
+
+    def __init__(self, int_columns: int, float_columns: int):
+        self.size = 0
+        self.ints = np.empty((4, int_columns), dtype=np.int64)
+        self.floats = np.empty((4, float_columns))
+
+    def append(self, ints, floats) -> None:
+        if self.size == len(self.ints):
+            self.ints = np.concatenate([self.ints, np.empty_like(self.ints)])
+            self.floats = np.concatenate(
+                [self.floats, np.empty_like(self.floats)]
+            )
+        self.ints[self.size] = ints
+        self.floats[self.size] = floats
+        self.size += 1
+
+
+# Integer columns of a bucket row; its floats are the entry's expected
+# rewards, all players concatenated.  A branch row holds a state's id and
+# action code, with the same floats.
+_ID, _DEPTH, _BRANCH, _PREDECESSOR = range(4)
+_ACTION = 1
+
+# Buckets of at most this many entries go to similar() whole: for them the
+# per-entry scalar checks cost less than the fixed cost of the array tests.
+_SMALL_BUCKET = 4
+
+
+def _direction(ctx: SimilarityContext) -> float:
+    # +1: the step action's reward must not rise (fp damps); -1: it must
+    # not drop (the discounted variants strengthen).
+    return 1.0 if ctx.algorithm == "fp" else -1.0
+
+
+class _KeyColumns:
+    """Column sets of one bucket key for the array tests."""
+
+    __slots__ = ("executed", "guard", "guard_ref", "sign")
+
+    def __init__(self, index: "_MergeIndex", ctx: SimilarityContext,
+                 action: tuple[int, ...]):
+        offsets = index.offsets
+        self.executed = np.add(offsets, action)
+        # Shared-prefix guard: each unplayed action of a player whose played
+        # action is not yet the best raw reply, next to the played one.
+        guard, guard_ref = [], []
+        for i, a in enumerate(action):
+            if not ctx.best_raw_reply[i][action]:
+                for b in range(ctx.game.action_counts[i]):
+                    if b != a:
+                        guard.append(offsets[i] + b)
+                        guard_ref.append(offsets[i] + a)
+        self.guard = np.array(guard, dtype=np.int64)
+        self.guard_ref = np.array(guard_ref, dtype=np.int64)
+        # Disjoint-branch reward direction as one test, sign * r2 <= sign *
+        # r1 + tol: under fp the played action's reward must not rise and
+        # no other may drop, under the discounted variants the reverse.
+        direction = _direction(ctx)
+        self.sign = np.full(index.width, -direction)
+        self.sign[self.executed] = direction
+
+
+class _Bucket(_Rows):
+    """The entries sharing one (pure action, reward-gain argmax) key."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, width: int):
+        super().__init__(4, width)
+        self.columns: _KeyColumns | None = None
+
+
+class _MergeIndex:
+    """Buckets, branches and the bucket pre-filter (see the module doc)."""
+
+    def __init__(self, game: Game, get_state):
+        counts = game.action_counts
+        self.get_state = get_state
+        self.offsets = list(accumulate(counts[:-1], initial=0))
+        self.width = sum(counts)
+        self.strides = list(accumulate(counts[:0:-1], lambda a, b: a * b,
+                                       initial=1))[::-1]
+        self.buckets: dict[tuple, _Bucket] = {}
+        self.branch_of: dict[int, int] = {}   # state id -> branch id
+        self.branches: dict[int, _Rows] = {}  # branch id -> its states
+
+    def code(self, action) -> int:
+        """Flat index of a joint action, -1 for a mixed strategy."""
+        if action is None:
+            return -1
+        return sum(a * s for a, s in zip(action, self.strides))
+
+    def add(self, state: ExplorationState) -> None:
+        """Register an adopted non-initial state."""
+        branch = self.branch_of.get(state.parent_id, state.id)
+        self.branch_of[state.id] = branch
+        rewards = np.concatenate(state.expected_rewards)
+        rows = self.branches.get(branch)
+        if rows is None:
+            rows = self.branches[branch] = _Rows(2, self.width)
+        rows.append((state.id, self.code(state.pure_action)), rewards)
+        key = (state.pure_action, state.reward_gain_argmax)
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = _Bucket(self.width)
+        bucket.append(
+            (state.id, state.depth, branch,
+             self.code(state.predecessor_pure_action)),
+            rewards,
+        )
+
+    def path(self, s1: ExplorationState, s2: ExplorationState) -> list:
+        """States from the ancestor s1 down to s2 on s2's branch."""
+        rows = self.branches[self.branch_of[s1.id]]
+        ids = rows.ints[s1.depth - 1:s2.depth - 1, _ID].tolist()
+        return [self.get_state(i) for i in ids] + [s2]
+
+    def survivors(self, candidate: ExplorationState,
+                  ctx: SimilarityContext) -> list:
+        """(entry id, distance) pairs left for ``similar()``, newest first.
+
+        The candidate's ``future`` must be set.
+        """
+        bucket = self.buckets.get(
+            (candidate.pure_action, candidate.reward_gain_argmax)
+        )
+        if bucket is None:
+            return []
+        branch = self.branch_of.get(candidate.parent_id, -1)
+        n = bucket.size
+        ints = bucket.ints[:n]
+        if n <= _SMALL_BUCKET:
+            return [
+                (tid, candidate.depth - depth if b == branch else None)
+                for tid, depth, b, _ in reversed(ints.tolist())
+            ]
+        columns = bucket.columns
+        if columns is None:
+            columns = bucket.columns = _KeyColumns(
+                self, ctx, candidate.pure_action
+            )
+        r1 = bucket.floats[:n]
+        r2 = np.concatenate(candidate.expected_rewards)
+        tol = ctx.tol
+        on_path = ints[:, _BRANCH] == branch
+        same_predecessor = ints[:, _PREDECESSOR] == self.code(
+            candidate.predecessor_pure_action
+        )
+        # No path: equal predecessor actions and the reward direction.
+        keep = on_path | (
+            same_predecessor
+            & (columns.sign * r2 <= r1 * columns.sign + tol).all(axis=1)
+        )
+        # Shared-prefix guard, when both predecessors played the key action.
+        if (columns.guard.size
+                and candidate.predecessor_pure_action
+                == candidate.pure_action):
+            gain = r2 - r1
+            keep &= ~same_predecessor | ~(
+                gain[:, columns.guard] > gain[:, columns.guard_ref] + tol
+            ).any(axis=1)
+        path = np.flatnonzero(on_path & keep)
+        if path.size:
+            keep[path] = self._path_checks(
+                candidate, ctx, columns, ints[path, _DEPTH], r1[path], r2
+            )
+        return [
+            (tid, candidate.depth - depth if b == branch else None)
+            for tid, depth, b, _ in reversed(ints[keep].tolist())
+        ]
+
+    def _path_checks(self, candidate, ctx, columns, depth, r1, r2):
+        """The array tests for ancestors, given in depth order."""
+        tol = ctx.tol
+        ok = np.ones(len(depth), dtype=bool)
+        longer = len(depth)
+        if depth[-1] == candidate.depth - 1:
+            # Distance 1, the parent: executed reward not dropped.
+            longer -= 1
+            ex = columns.executed
+            ok[-1] = not (r2[ex] < r1[-1, ex] - tol).any()
+        if longer:
+            # Longer paths: replay step 1 is the candidate's first future
+            # step, checked against each entry's child on the branch.
+            _, rewards, step = candidate.future[1]
+            children = self.branches[self.branch_of[candidate.parent_id]]
+            child = depth[:longer]  # a child's row is its parent's depth
+            cols = np.add(self.offsets, step)
+            lap1 = children.floats[child[:, None], cols]
+            lap2 = np.concatenate(rewards)[cols]
+            d = _direction(ctx)
+            ok[:longer] = (
+                (children.ints[child, _ACTION] == self.code(step))
+                & ~(d * lap2 > lap1 * d + tol).any(axis=1)
+            )
+        return ok
+
+
 def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
     """Build the chain of reachable learning states breadth first."""
     _validate_learner(game, initial_learner)
+    states = [_initial_state(game, initial_learner, cfg.tau0)]
+    index = _MergeIndex(game, states.__getitem__) \
+        if cfg.merge_enabled else None
     ctx = SimilarityContext(
         game=game,
         algorithm=learners.algorithm_of(initial_learner),
-        get_state=lambda sid: states[sid],
+        get_state=states.__getitem__,
+        path=index.path if index is not None else None,
     )
-
-    states = [_initial_state(game, initial_learner, cfg.tau0)]
     transitions: dict[int, list[Transition]] = {}
     merge_events: list[MergeEvent] = []
-    # Merge candidates are grouped by executed joint action: states with a
-    # different action can never merge, so the newest-first scan only has to
-    # touch the matching bucket.  The initial state never joins a bucket.
-    buckets: dict[tuple[int, ...], list[int]] = {}
 
     queue1 = deque([0])
     queue2: deque[int] = deque()
@@ -166,16 +398,16 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
             for action, prob in state.positive_actions(cfg.prob_floor):
                 candidate = successor(state, action, game)
                 target = None
-                if cfg.merge_enabled:
-                    distances = _ancestor_distances(candidate, states)
-                    bucket = buckets.get(candidate.pure_action, ())
-                    for tid in reversed(bucket):
+                if index is not None:
+                    candidate.future = Future(candidate, game)
+                    for tid, distance in index.survivors(candidate, ctx):
                         if similar(states[tid], candidate, ctx,
-                                   distance=distances.get(tid)):
+                                   distance=distance):
                             target = tid
                             merge_events.append(
                                 MergeEvent(sid, action, tid, candidate)
                             )
+                            candidate.future = None
                             break
                 if target is None:
                     target = len(states)
@@ -183,12 +415,13 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
                         raise StateBudgetError(target + 1, cfg.state_cap)
                     candidate.id = target
                     states.append(candidate)
-                    if candidate.pure_action is not None:
-                        buckets.setdefault(
-                            candidate.pure_action, []
-                        ).append(target)
+                    if index is not None:
+                        index.add(candidate)
+                        # Keep only the step successor() will reuse.
+                        del candidate.future.steps[2:]
                     queue2.append(target)
                 out.append(Transition(target, prob, action))
+            state.future = None
             if cfg.prob_floor > 0:
                 total = sum(t.probability for t in out)
                 if out and total < 1.0:
@@ -205,6 +438,7 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
             transitions[sink_id] = [Transition(sink_id, 1.0, None)]
             for sid in queue1:
                 transitions[sid] = [Transition(sink_id, 1.0, None)]
+                states[sid].future = None
             truncated = True
             break
 
@@ -216,15 +450,3 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         truncated=truncated,
         merge_events=merge_events,
     )
-
-
-def _ancestor_distances(candidate: ExplorationState, states) -> dict:
-    """Map each generation-tree ancestor's id to its distance upward."""
-    distances = {}
-    current = candidate
-    steps = 0
-    while current.parent_id is not None:
-        current = states[current.parent_id]
-        steps += 1
-        distances[current.id] = steps
-    return distances

@@ -21,8 +21,11 @@ ARGMAX_TOL = 1e-9
 def argmax_with_ties(values: np.ndarray, tol: float = ARGMAX_TOL) -> int:
     """Index of the largest entry, smallest index winning near-ties."""
     values = np.asarray(values, dtype=float)
-    cutoff = values.max() - tol
-    return int(np.flatnonzero(values >= cutoff)[0])
+    top = values >= values.max() - tol
+    first = int(top.argmax())  # the first True
+    if not top[first]:
+        raise ValueError(f"no finite maximum in {values}")
+    return first
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class Game:
                 f"rewards must have shape ({len(counts)}, {total}), "
                 f"got {rewards.shape}"
             )
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite")
         object.__setattr__(self, "rewards", rewards)
 
     @classmethod
@@ -125,12 +130,19 @@ def expected_reward_vector(game: Game, player: int, estimates) -> np.ndarray:
     _check_estimates(game, player, estimates)
     out = game.reward_tensor(player)
     # Contract opponent axes from the highest down so that remaining axis
-    # positions stay valid; the player's own axis survives.
+    # positions stay valid; the player's own axis survives.  Each step is
+    # the matrix-vector product ``np.tensordot(out, sigma, axes=(axis, 0))``
+    # performs, on the same operand layout (contracted axis moved last),
+    # without its argument handling.
     for axis in range(game.num_players - 1, -1, -1):
         if axis == player:
             continue
         sigma = np.asarray(estimates[axis], dtype=float)
-        out = np.tensordot(out, sigma, axes=(axis, 0))
+        order = [k for k in range(out.ndim) if k != axis]
+        moved = out.transpose(order + [axis])
+        out = np.dot(moved.reshape(-1, len(sigma)), sigma).reshape(
+            moved.shape[:-1]
+        )
     return out
 
 

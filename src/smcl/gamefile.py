@@ -15,6 +15,7 @@ Weights file:
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -45,9 +46,12 @@ def _parse_floats(tokens, line):
     values = []
     for token in tokens:
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError:
             raise GameFileError(f"malformed number {token!r}", line) from None
+        if not math.isfinite(value):
+            raise GameFileError(f"non-finite number {token!r}", line)
+        values.append(value)
     return values
 
 

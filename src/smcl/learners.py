@@ -61,6 +61,8 @@ def _normalised_weights(raw_weights, num_players, action_counts):
                 f"weights for pair ({i}, {j}) must have length "
                 f"{action_counts[j]}, got {raw.shape}"
             )
+        if not np.isfinite(raw).all():
+            raise ValueError(f"weights for pair ({i}, {j}) must be finite")
         if not (raw > 0).all():
             raise ValueError(f"weights for pair ({i}, {j}) must be positive")
         out[(i, j)] = raw / raw.sum()

@@ -32,11 +32,20 @@ reply to the opponents' executed actions.
 
 All comparisons use an absolute tolerance, so branches that differ only by
 floating-point noise still merge.
+
+``similar()`` is the one definition of the relation.  The explorer calls it
+only for the bucket entries its merge index has not already ruled out (see
+``explorer``), passing the generation-tree distance, a path provider in the
+context, and the candidate's ``Future``: the later state's best-response
+trajectory, which every path replay and lockstep replay from that state
+reads instead of re-observing it.  Called without these, it walks parent
+links and replays from scratch, with the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +67,20 @@ class SimilarityContext:
     algorithm: str  # "fp" | "gfp" | "afffp"
     get_state: Callable[[int], ExplorationState]
     tol: float = DEFAULT_TOL
+    # Generation path from an ancestor down to a state, both ends included;
+    # the parent links are walked when no faster source is given.
+    path: Callable[[ExplorationState, ExplorationState],
+                   list[ExplorationState]] | None = None
+
+    @cached_property
+    def best_raw_reply(self) -> tuple[np.ndarray, ...]:
+        """Per player, a bool per joint action: is the player's own action
+        already a best raw reply to the others' actions?"""
+        out = []
+        for i in range(self.game.num_players):
+            raw = self.game.reward_tensor(i)
+            out.append(raw >= raw.max(axis=i, keepdims=True) - self.tol)
+        return tuple(out)
 
 
 def _strategies_equal(a, b, tol: float) -> bool:
@@ -116,6 +139,40 @@ def _rewards_of(game: Game, learner) -> list[np.ndarray]:
     ]
 
 
+class Future:
+    """A pure state's own best-response trajectory, extended on demand.
+
+    ``self[k]`` is ``(learner, expected_rewards, pure_action)`` after the
+    state and its successors have played k steps; ``self[0]`` is the state
+    itself.  Path replays from the state and its side of a lockstep replay
+    both follow this trajectory, so one future serves every merge attempt
+    against the same candidate.
+    """
+
+    __slots__ = ("game", "steps")
+
+    def __init__(self, state: ExplorationState, game: Game):
+        self.game = game
+        self.steps = [
+            (state.learner, state.expected_rewards, state.pure_action)
+        ]
+
+    def __getitem__(self, k: int):
+        steps = self.steps
+        while len(steps) <= k:
+            learner, _, action = steps[-1]
+            learner = learners.observe(learner, self.game, action)
+            rewards = tuple(_rewards_of(self.game, learner))
+            steps.append(
+                (learner, rewards, tuple(argmax_with_ties(r) for r in rewards))
+            )
+        return steps[k]
+
+
+def _future_of(state: ExplorationState, game: Game) -> Future:
+    return state.future if state.future is not None else Future(state, game)
+
+
 def replay_strategies(from_state: ExplorationState, word, game: Game):
     """Joint strategies produced by playing ``word`` from a state.
 
@@ -150,12 +207,8 @@ def _shared_prefix_guard(s1, s2, ctx: SimilarityContext) -> bool:
     executed = s1.pure_action
     game = ctx.game
     for i in range(game.num_players):
-        slicer = tuple(
-            a if j != i else slice(None) for j, a in enumerate(executed)
-        )
-        raw = game.reward_tensor(i)[slicer]
-        if raw[executed[i]] >= raw.max() - ctx.tol:
-            continue  # executed action already the best raw reply
+        if ctx.best_raw_reply[i][executed]:
+            continue
         r1 = s1.expected_rewards[i]
         r2 = s2.expected_rewards[i]
         gap_exec = r2[executed[i]] - r1[executed[i]]
@@ -182,14 +235,17 @@ def _path_replay_agrees(s1, s2, ctx: SimilarityContext) -> bool:
     # Replay the path word from s2 and compare against the actual path step
     # by step: same strategies, and the step action's expected reward damped
     # (fp) or strengthened (gfp/afffp) relative to one lap earlier.
+    # The word starts with s1's action, which is s2's own, and every later
+    # letter must equal the replayed action: the replay is s2's future.
     game = ctx.game
-    chain = _chain_between(s1, s2, ctx.get_state)
-    learner = s2.learner
+    if ctx.path is not None:
+        chain = ctx.path(s1, s2)
+    else:
+        chain = _chain_between(s1, s2, ctx.get_state)
+    future = _future_of(s2, game)
     for j in range(1, len(chain)):
-        learner = learners.observe(learner, game, chain[j - 1].pure_action)
-        rewards = _rewards_of(game, learner)
+        _, rewards, replayed = future[j]
         step = chain[j].pure_action
-        replayed = tuple(argmax_with_ties(r) for r in rewards)
         if replayed != step:
             return False
         for i in range(game.num_players):
@@ -230,22 +286,22 @@ def _disjoint_branches_agree(s1, s2, ctx: SimilarityContext) -> bool:
 
 
 def _futures_agree(s1, s2, horizon: int, ctx: SimilarityContext) -> bool:
-    """Play both states forward together; strategies must stay identical."""
+    """Play both states forward together; strategies must stay identical.
+
+    Both start from the same action and play it as long as they agree, so
+    s2's side is its own future.
+    """
     game = ctx.game
+    future = _future_of(s2, game)
     action = s1.pure_action
-    learner1, learner2 = s1.learner, s2.learner
-    for _ in range(horizon):
+    learner1 = s1.learner
+    for k in range(1, horizon + 1):
         learner1 = learners.observe(learner1, game, action)
-        learner2 = learners.observe(learner2, game, action)
-        next1 = tuple(
+        action = tuple(
             argmax_with_ties(r) for r in _rewards_of(game, learner1)
         )
-        next2 = tuple(
-            argmax_with_ties(r) for r in _rewards_of(game, learner2)
-        )
-        if next1 != next2:
+        if action != future[k][2]:
             return False
-        action = next1
     return True
 
 

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from smcl import (
     Game,
     best_response,
+    complex_coordination,
     expected_reward,
     expected_reward_vector,
     has_common_maximizer,
     is_pareto_efficient_pure,
     is_pure_nash,
+    shapley,
+    simple_coordination,
     smooth_best_response,
 )
 from smcl.game import argmax_with_ties
@@ -53,6 +56,14 @@ class TestGameConstruction:
     def test_rejects_wrong_reward_shape(self):
         with pytest.raises(ValueError):
             Game(action_counts=(2, 2), rewards=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_rejects_non_finite_reward(self, bad):
+        rewards = np.ones((2, 4))
+        rewards[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Game(action_counts=(2, 2), rewards=rewards)
 
     def test_flat_index_row_major(self, simple_game):
         assert simple_game.flat_index((0, 0)) == 0
@@ -126,6 +137,29 @@ class TestExpectedReward:
                         * est[0][a0] * est[2][a2]
                     )
         assert np.allclose(vec, expect, atol=1e-12)
+
+
+    def test_contraction_equals_tensordot_exactly(self):
+        # expected_reward_vector computes each contraction as the dot
+        # product tensordot performs internally; the results must be
+        # bit-for-bit those of tensordot, or explored chains would drift.
+        rng = np.random.default_rng(11)
+        games = [
+            simple_coordination(), shapley(), complex_coordination(n=3),
+            Game(action_counts=(3, 2, 4),
+                 rewards=rng.normal(size=(3, 24))),
+        ]
+        for game in games:
+            for _ in range(25):
+                for i in range(game.num_players):
+                    est = random_estimates(rng, game, i)
+                    want = game.reward_tensor(i)
+                    for axis in range(game.num_players - 1, -1, -1):
+                        if axis != i:
+                            want = np.tensordot(want, est[axis],
+                                                axes=(axis, 0))
+                    got = expected_reward_vector(game, i, est)
+                    assert np.array_equal(got, want)
 
 
 class TestBestResponse:
@@ -210,6 +244,10 @@ class TestArgmaxWithTies:
 
     def test_clear_winner(self):
         assert argmax_with_ties(np.array([0.1, 0.4, 0.2])) == 1
+
+    def test_nan_fails_loudly(self):
+        with pytest.raises(ValueError, match="finite"):
+            argmax_with_ties(np.array([0.1, np.nan]))
 
 
 class TestPureNash:

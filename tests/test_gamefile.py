@@ -83,6 +83,20 @@ class TestGameParsingErrors:
         with pytest.raises(GameFileError, match="line 4.*malformed"):
             parse_game(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_reward_reports_line(self, tmp_path, bad):
+        path = write_lines(tmp_path, [
+            "players 2",
+            "actions 2 2",
+            "rewards",
+            "0 0 1 1",
+            f"0 1 0 {bad}",
+            "1 0 0 0",
+            "1 1 1 1",
+        ])
+        with pytest.raises(GameFileError, match="line 5.*non-finite"):
+            parse_game(path)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = write_lines(tmp_path, [
             "# a simple game",
@@ -124,6 +138,12 @@ class TestWeights:
     def test_nonpositive_weight_rejected(self, tmp_path):
         path = write_lines(tmp_path, ["weights 0 1", "1.0 0.0"])
         with pytest.raises(GameFileError, match="line 2.*positive"):
+            parse_weights(path)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_weight_reports_line(self, tmp_path, bad):
+        path = write_lines(tmp_path, ["weights 0 1", f"1.0 {bad}"])
+        with pytest.raises(GameFileError, match="line 2.*non-finite"):
             parse_weights(path)
 
     def test_header_without_row(self, tmp_path):

@@ -51,6 +51,13 @@ class TestInitialState:
                 "fp", simple_game, {(0, 1): [1.0, 0.0], (1, 0): [1.0, 1.0]}
             )
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_weight(self, simple_game, bad):
+        with pytest.raises(ValueError, match="finite"):
+            initial_state(
+                "fp", simple_game, {(0, 1): [1.0, bad], (1, 0): [1.0, 1.0]}
+            )
+
     def test_rejects_missing_pair(self, simple_game):
         with pytest.raises(ValueError):
             initial_state("fp", simple_game, {(0, 1): [1.0, 1.0]})

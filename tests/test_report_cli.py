@@ -180,6 +180,31 @@ class TestCheckCommand:
         assert "missing joint actions" in capsys.readouterr().err
 
 
+    def test_non_finite_reward_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.game"
+        path.write_text(
+            "players 2\nactions 2 2\nrewards\n"
+            "0 0 1 1\n0 1 0 nan\n1 0 0 0\n1 1 1 1\n"
+        )
+        code = main([
+            "check", "--game", str(path), "--algo", "fp",
+            "--random-inits", "1",
+        ])
+        assert code == 2
+        assert "line 5" in capsys.readouterr().err
+
+    def test_non_finite_weight_exit_code(self, simple_game_file, tmp_path,
+                                         capsys):
+        weights = tmp_path / "inf.weights"
+        weights.write_text("weights 0 1\n1.0 inf\nweights 1 0\n1.0 1.0\n")
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "fp",
+            "--weights", str(weights),
+        ])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_trace_and_batch_summary(
         self, simple_game_file, toy_weights_file, tmp_path, capsys
