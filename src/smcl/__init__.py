@@ -18,7 +18,6 @@ from .analysis import (
     convergence_probability,
     reach_probabilities,
     steady_state,
-    tarjan_sccs,
 )
 from .catalog import (
     ComplexGameParams,
@@ -105,7 +104,6 @@ __all__ = [
     "smooth_best_response",
     "steady_state",
     "successor",
-    "tarjan_sccs",
     "trace_to_csv",
 ]
 

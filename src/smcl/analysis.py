@@ -1,10 +1,14 @@
 """Long-run analysis of an explored chain.
 
-Bottom strongly connected components are the absorbing structures: once the
-play enters one it never leaves.  This module finds them (iterative Tarjan),
-classifies each by the joint actions it keeps firing, computes the
-probability of ending up in each from the initial state, and the
-within-component steady-state distribution.
+Exploration builds a chain of one shape (``Dtmc.functional_graph``): the
+initial state may branch with its first-iteration probabilities, and every
+other state has exactly one successor.  The bottom strongly connected
+components, the absorbing structures, are then the cycles of that successor
+map, found by following successors from each state until a walk meets a
+state already seen.  A BSCC is reached with the initial probability of the
+branches whose paths run into its cycle, and its steady state is uniform,
+since a deterministic cycle of k states spends 1/k of its time in each.
+Each BSCC is classified by the joint actions it keeps firing.
 """
 
 from __future__ import annotations
@@ -12,16 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-import scipy.sparse as sp
-
 from .dtmc import Dtmc
 from .game import Game, has_common_maximizer, is_pareto_efficient_pure, \
     is_pure_nash
-
-DENSE_TRANSIENT_LIMIT = 2000
-VALUE_ITERATION_TOL = 1e-12
-VALUE_ITERATION_CAP = 1_000_000
 
 
 class Classification(Enum):
@@ -32,97 +29,44 @@ class Classification(Enum):
     TRUNCATION = "Truncation"
 
 
-class SolverError(RuntimeError):
-    """Raised when an iterative probability solve fails to converge."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class Scc:
+    """A bottom strongly connected component: one cycle of the chain."""
+
     members: frozenset
-    is_bottom: bool
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("an SCC cannot be empty")
 
 
-def tarjan_sccs(dtmc: Dtmc) -> list[Scc]:
-    """Partition all states into maximal strongly connected components.
-
-    Implemented iteratively so deep chains do not exhaust the call stack.
-    The result is sorted by smallest member id.
-    """
-    n = dtmc.num_states
-    adjacency = [dtmc.successors(sid) for sid in range(n)]
-
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components: list[frozenset] = []
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(edge_pos, len(adjacency[node])):
-                succ = adjacency[node][pos]
-                if index[succ] == -1:
-                    work[-1] = (node, pos + 1)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                members = set()
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    members.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(members))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    sccs = []
-    for members in components:
-        bottom = all(
-            succ in members
-            for member in members
-            for succ in adjacency[member]
-        )
-        sccs.append(Scc(members=members, is_bottom=bottom))
-    sccs.sort(key=lambda s: min(s.members))
-    return sccs
-
-
 def bottom_sccs(dtmc: Dtmc) -> list[Scc]:
-    return [scc for scc in tarjan_sccs(dtmc) if scc.is_bottom]
+    """The cycles of the chain, sorted by smallest member id.
+
+    One walk from every state, each stopping at the first state any walk
+    has visited; a walk that stops on its own path has closed a new cycle.
+    O(n) and iterative, so deep chains do not exhaust the call stack.
+    """
+    successor, _ = dtmc.functional_graph()
+    walk_of = [-1] * len(successor)
+    cycles = []
+    for start, target in enumerate(successor):
+        if target < 0:  # a branching initial state lies on no cycle
+            continue
+        path = []
+        sid = start
+        while walk_of[sid] < 0:
+            walk_of[sid] = start
+            path.append(sid)
+            sid = successor[sid]
+        if walk_of[sid] == start:
+            cycles.append(Scc(frozenset(path[path.index(sid):])))
+    cycles.sort(key=lambda scc: min(scc.members))
+    return cycles
 
 
 def bscc_actions(dtmc: Dtmc, scc: Scc) -> set:
     """All joint actions fired with positive probability inside the BSCC."""
-    if not scc.is_bottom:
-        raise ValueError("BSCC actions are only defined for bottom SCCs")
     actions = set()
     for sid in scc.members:
         for action, _ in dtmc.state(sid).positive_actions():
@@ -131,137 +75,50 @@ def bscc_actions(dtmc: Dtmc, scc: Scc) -> set:
 
 
 def reach_probabilities(dtmc: Dtmc, bsccs: list[Scc]) -> list[float]:
-    """Probability of absorption into each BSCC from the initial state."""
-    for scc in bsccs:
-        if not scc.is_bottom:
-            raise ValueError("reach probabilities need bottom SCCs")
-    absorbed = {}
+    """Probability of absorption into each BSCC from the initial state.
+
+    Each initial branch is followed to the cycle it runs into, and the
+    states on the way take that cycle's index, so no state is walked twice.
+    Raises ``ValueError`` when a branch runs into a cycle missing from
+    ``bsccs``.
+    """
+    successor, start = dtmc.functional_graph()
+    unseen, on_path = -1, -2
+    leads_to = [unseen] * len(successor)
     for k, scc in enumerate(bsccs):
         for sid in scc.members:
-            absorbed[sid] = k
-
-    if dtmc.initial_id in absorbed:
-        return [
-            1.0 if k == absorbed[dtmc.initial_id] else 0.0
-            for k in range(len(bsccs))
-        ]
-
-    transient = [
-        sid for sid in range(dtmc.num_states) if sid not in absorbed
-    ]
-    order = _topological_transient_order(dtmc, transient, absorbed)
-    if order is not None:
-        return _propagate_mass(dtmc, order, absorbed, len(bsccs))
-    position = {sid: idx for idx, sid in enumerate(transient)}
-
-    nt, nb = len(transient), len(bsccs)
-    q = sp.lil_matrix((nt, nt))
-    hits = np.zeros((nt, nb))
-    for sid in transient:
-        row = position[sid]
-        for t in dtmc.out(sid):
-            if t.target in absorbed:
-                hits[row, absorbed[t.target]] += t.probability
-            else:
-                q[row, position[t.target]] += t.probability
-
-    if nt <= DENSE_TRANSIENT_LIMIT:
-        solution = np.linalg.solve(np.eye(nt) - q.toarray(), hits)
-    else:
-        q = q.tocsr()
-        solution = np.zeros((nt, nb))
-        residual = np.inf
-        for _ in range(VALUE_ITERATION_CAP):
-            updated = q @ solution + hits
-            residual = float(np.abs(updated - solution).max())
-            solution = updated
-            if residual < VALUE_ITERATION_TOL:
-                break
-        else:
-            raise SolverError("value iteration did not converge", residual)
-
-    start = solution[position[dtmc.initial_id]]
-    return [float(p) for p in start]
-
-
-def _topological_transient_order(dtmc, transient, absorbed):
-    """Kahn order of the transient subgraph, or None if it has a cycle.
-
-    Explored chains always qualify: a cycle among transient states would
-    have no exit and would itself be a bottom component.
-    """
-    transient_set = set(transient)
-    indegree = {sid: 0 for sid in transient}
-    for sid in transient:
-        for t in dtmc.out(sid):
-            if t.target in transient_set and t.probability > 0:
-                indegree[t.target] += 1
-    ready = [sid for sid in transient if indegree[sid] == 0]
-    order = []
-    while ready:
-        sid = ready.pop()
-        order.append(sid)
-        for t in dtmc.out(sid):
-            if t.target in transient_set and t.probability > 0:
-                indegree[t.target] -= 1
-                if indegree[t.target] == 0:
-                    ready.append(t.target)
-    if len(order) != len(transient):
-        return None
-    return order
-
-
-def _propagate_mass(dtmc, order, absorbed, num_bsccs):
-    """Push the initial state's probability mass down an acyclic graph."""
-    mass = {sid: 0.0 for sid in order}
-    mass[dtmc.initial_id] = 1.0
-    result = [0.0] * num_bsccs
-    for sid in order:
-        m = mass[sid]
-        if m == 0.0:
-            continue
-        for t in dtmc.out(sid):
-            if t.probability <= 0:
-                continue
-            if t.target in absorbed:
-                result[absorbed[t.target]] += m * t.probability
-            else:
-                mass[t.target] += m * t.probability
-    return result
+            leads_to[sid] = k
+    probabilities = [0.0] * len(bsccs)
+    for target, probability in start:
+        path = []
+        sid = target
+        while leads_to[sid] == unseen:
+            leads_to[sid] = on_path
+            path.append(sid)
+            sid = successor[sid]
+        k = leads_to[sid]
+        if k == on_path:
+            raise ValueError(
+                f"state {sid} lies on a cycle missing from the BSCC list"
+            )
+        for step in path:
+            leads_to[step] = k
+        probabilities[k] += probability
+    return probabilities
 
 
 def steady_state(dtmc: Dtmc, scc: Scc) -> dict:
     """Stationary distribution of the chain restricted to one BSCC.
 
-    Deterministic cycles are periodic, so the stationary system is solved
-    directly rather than by power iteration; for a period-k loop the answer
-    is the uniform 1/k.
+    A BSCC is a deterministic cycle, which spends 1/k of its time in each
+    of its k states.
     """
-    if not scc.is_bottom:
-        raise ValueError("steady state is only defined for bottom SCCs")
-    members = sorted(scc.members)
-    if len(members) == 1:
-        return {members[0]: 1.0}
-    position = {sid: idx for idx, sid in enumerate(members)}
-    k = len(members)
-    p = np.zeros((k, k))
-    for sid in members:
-        for t in dtmc.out(sid):
-            p[position[sid], position[t.target]] += t.probability
-
-    system = np.vstack([p.T - np.eye(k), np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    return {sid: float(pi[position[sid]]) for sid in members}
+    share = 1.0 / len(scc.members)
+    return {sid: share for sid in sorted(scc.members)}
 
 
 def classify(game: Game, dtmc: Dtmc, scc: Scc) -> Classification:
     """Label a BSCC by the kind of long-run behaviour it represents."""
-    if not scc.is_bottom:
-        raise ValueError("classification is only defined for bottom SCCs")
     if dtmc.sink_id is not None and dtmc.sink_id in scc.members:
         return Classification.TRUNCATION
     members = sorted(scc.members)

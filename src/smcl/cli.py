@@ -102,6 +102,11 @@ def _cmd_check(args) -> int:
         state_cap=args.state_cap,
         prob_floor=args.prob_floor,
     )
+    try:
+        config.explore_config()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.weights:
         inits = [parse_weights(args.weights, game)]
     else:

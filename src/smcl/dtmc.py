@@ -141,3 +141,49 @@ class Dtmc:
             if t.probability > 0 and t.target not in seen:
                 seen.append(t.target)
         return seen
+
+    def functional_graph(self) -> tuple[list[int], list[tuple[int, float]]]:
+        """The chain as one successor per state plus a start distribution.
+
+        This is the shape exploration builds: only the initial state fires
+        several joint actions (its first-iteration smooth best response),
+        every later state is pure and has a single transition, and the
+        initial state never joins a merge bucket, so nothing re-enters it.
+
+        Returns ``(successor, start)``.  ``successor[sid]`` is the target of
+        each state's transition, or -1 for an initial state that branches;
+        ``start`` lists that initial state's transitions as ``(target,
+        probability)`` pairs.  An initial state with a single transition is
+        an ordinary node of the graph and ``start`` is ``[(initial_id,
+        1.0)]``.  Raises ``ValueError`` naming the first state that has no
+        transitions, that branches without being the initial state, or
+        whose probabilities do not sum to 1 within 1e-9; for a branching
+        initial state, it names the initial state when something re-enters
+        it.
+        """
+        root = self.initial_id
+        successor = [0] * self.num_states
+        for sid in range(self.num_states):
+            out = self.out(sid)
+            if not out:
+                raise ValueError(f"state {sid} has no transitions")
+            if len(out) > 1 and sid != root:
+                raise ValueError(
+                    f"state {sid} has {len(out)} transitions; only the "
+                    f"initial state may branch"
+                )
+            total = sum(t.probability for t in out)
+            if not abs(total - 1.0) <= 1e-9:
+                raise ValueError(
+                    f"state {sid}: transition probabilities sum to {total!r}"
+                )
+            successor[sid] = out[0].target
+        root_out = self.out(root)
+        if len(root_out) == 1:
+            return successor, [(root, 1.0)]
+        successor[root] = -1
+        if any(t.target == root for t in root_out) or root in successor:
+            raise ValueError(
+                f"state {root}: the initial state branches and is re-entered"
+            )
+        return successor, [(t.target, t.probability) for t in root_out]

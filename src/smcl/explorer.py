@@ -80,8 +80,8 @@ class ExploreConfig:
             raise ValueError("max_depth must be at least 1")
         if not self.tau0 > 0:
             raise ValueError("tau0 must be positive")
-        if self.prob_floor < 0:
-            raise ValueError("prob_floor must be non-negative")
+        if not 0.0 <= self.prob_floor < 1.0:
+            raise ValueError("prob_floor must be in [0, 1)")
 
 
 def _validate_learner(game: Game, learner) -> None:

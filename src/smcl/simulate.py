@@ -4,7 +4,7 @@ The first iteration samples the joint action from the smooth-best-response
 product distribution with a seeded generator; every later iteration plays
 the deterministic best response.  Batches classify each run by the joint
 actions its tail keeps repeating, which makes them an independent check on
-the chain solver's absorption probabilities.
+the chain analysis's absorption probabilities.
 
 Randomness comes from numpy's default bit generator (PCG64).  A single run
 seeds it with the ``seed`` argument directly; batch run ``r`` uses the

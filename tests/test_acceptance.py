@@ -31,10 +31,10 @@ from smcl import (
     shapley,
     simple_coordination,
     smooth_best_response,
-    tarjan_sccs,
 )
 from smcl.learners import ordered_pairs
 
+from reference_analysis import tarjan_sccs
 from reference_matrix import reference_reward_table
 
 ALGOS = [("fp", {}), ("gfp", {"alpha": 0.2}), ("afffp", {"lambda0": 0.8})]

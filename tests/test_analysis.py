@@ -1,7 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import smcl.analysis as analysis_mod
+import smcl
 from smcl import (
     Classification,
     Dtmc,
@@ -12,15 +16,20 @@ from smcl import (
     bscc_actions,
     bottom_sccs,
     classify,
+    complex_coordination,
     convergence_probability,
     explore,
     initial_state,
+    random_initial_weights,
     reach_probabilities,
+    shapley,
+    simple_coordination,
     steady_state,
-    tarjan_sccs,
 )
 
+import reference_analysis as ref
 from conftest import brute_force_reach
+from reference_analysis import tarjan_sccs
 
 NASH_SPLIT = 0.17960065808013714  # 2 x (1 - x), x = 1/(1 + exp(-2.2))
 
@@ -149,14 +158,6 @@ class TestBsccActions:
         )
         assert singles == [(0, 0), (1, 1)]
 
-    def test_rejects_non_bottom(self, simple_game, toy_weights):
-        dtmc = coordination_dtmc(simple_game, toy_weights)
-        transient = next(
-            scc for scc in tarjan_sccs(dtmc) if not scc.is_bottom
-        )
-        with pytest.raises(ValueError):
-            bscc_actions(dtmc, transient)
-
 
 class TestReachProbabilities:
     def test_frozen_coordination_split(self, simple_game, toy_weights):
@@ -192,49 +193,9 @@ class TestReachProbabilities:
         rng = np.random.default_rng(5)
         for _ in range(50):
             dtmc = random_stochastic_graph(rng, int(rng.integers(3, 40)))
-            bottoms = bottom_sccs(dtmc)
-            total = sum(reach_probabilities(dtmc, bottoms))
+            bottoms = ref.bottom_sccs(dtmc)
+            total = sum(ref.reach_probabilities(dtmc, bottoms))
             assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_dense_and_iterative_solvers_agree(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            dtmc = random_stochastic_graph(rng, int(rng.integers(4, 30)))
-            bottoms = bottom_sccs(dtmc)
-            dense = reach_probabilities(dtmc, bottoms)
-            monkeypatch.setattr(analysis_mod, "DENSE_TRANSIENT_LIMIT", 0)
-            iterative = reach_probabilities(dtmc, bottoms)
-            monkeypatch.undo()
-            assert np.allclose(dense, iterative, atol=1e-9)
-
-    def test_acyclic_fast_path_agrees_with_dense(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            n = int(rng.integers(4, 30))
-            edges = []
-            for src in range(n - 2):
-                targets = rng.integers(src + 1, n, size=2)
-                for dst in targets:
-                    edges.append((src, int(dst), 0.5))
-            edges += [(n - 2, n - 2, 1.0), (n - 1, n - 1, 1.0)]
-            dtmc = graph_dtmc(edges, num_states=n)
-            bottoms = bottom_sccs(dtmc)
-            fast = reach_probabilities(dtmc, bottoms)
-            monkeypatch.setattr(
-                analysis_mod, "_topological_transient_order",
-                lambda *a, **k: None,
-            )
-            solved = reach_probabilities(dtmc, bottoms)
-            monkeypatch.undo()
-            assert np.allclose(fast, solved, atol=1e-12)
-
-    def test_rejects_non_bottom_scc(self, simple_game, toy_weights):
-        dtmc = coordination_dtmc(simple_game, toy_weights)
-        transient = next(
-            scc for scc in tarjan_sccs(dtmc) if not scc.is_bottom
-        )
-        with pytest.raises(ValueError):
-            reach_probabilities(dtmc, [transient])
 
 
 class TestSteadyState:
@@ -256,8 +217,8 @@ class TestSteadyState:
             [(0, 0, 0.6), (0, 1, 0.4), (1, 0, 0.2), (1, 1, 0.8)],
             num_states=2,
         )
-        (scc,) = bottom_sccs(dtmc)
-        pi = steady_state(dtmc, scc)
+        (scc,) = ref.bottom_sccs(dtmc)
+        pi = ref.steady_state(dtmc, scc)
         assert pi[0] == pytest.approx(1 / 3, abs=1e-12)
         assert pi[1] == pytest.approx(2 / 3, abs=1e-12)
 
@@ -275,14 +236,6 @@ class TestSteadyState:
         )
         for p in diag.steady_state.values():
             assert p == pytest.approx(1 / 3, abs=1e-9)
-
-    def test_rejects_non_bottom(self, simple_game, toy_weights):
-        dtmc = coordination_dtmc(simple_game, toy_weights)
-        transient = next(
-            scc for scc in tarjan_sccs(dtmc) if not scc.is_bottom
-        )
-        with pytest.raises(ValueError):
-            steady_state(dtmc, transient)
 
 
 class TestClassification:
@@ -367,3 +320,154 @@ class TestConvergenceProbability:
         assert convergence_probability(simple_game, dtmc) == pytest.approx(
             0.18, abs=0.01
         )
+
+
+def random_functional_graph(rng, n, branches):
+    """Stub chain of the explored shape, with a few extra structures.
+
+    State 0 is the initial state: with ``branches`` > 1 it fires that many
+    transitions and nothing re-enters it, with 1 it is an ordinary node that
+    other states may point to.  Every other state has one successor.  The
+    last state is a sink with a self-loop, and the three before it form a
+    cycle that no other state points to, so no branch reaches it.
+    """
+    assert n >= 6
+    lowest = 1 if branches > 1 else 0
+    open_targets = list(range(lowest, n - 4)) + [n - 1]
+    edges = [
+        (src, int(rng.choice(open_targets)), 1.0) for src in range(1, n - 4)
+    ]
+    edges += [(n - 4, n - 3, 1.0), (n - 3, n - 2, 1.0), (n - 2, n - 4, 1.0),
+              (n - 1, n - 1, 1.0)]
+    probs = rng.uniform(0.1, 1.0, size=branches)
+    for p in probs / probs.sum():
+        edges.append((0, int(rng.choice(open_targets)), float(p)))
+    return graph_dtmc(edges, n)
+
+
+def assert_matches_reference(dtmc):
+    bottoms = bottom_sccs(dtmc)
+    expected = ref.bottom_sccs(dtmc)
+    assert [s.members for s in bottoms] == [s.members for s in expected]
+    assert reach_probabilities(dtmc, bottoms) == pytest.approx(
+        ref.reach_probabilities(dtmc, expected), abs=1e-12
+    )
+    for scc in bottoms:
+        assert steady_state(dtmc, scc) == pytest.approx(
+            ref.steady_state(dtmc, scc), abs=1e-12
+        )
+
+
+class TestAgainstReference:
+    def test_random_functional_graphs(self):
+        rng = np.random.default_rng(41)
+        unreached = 0
+        for _ in range(300):
+            n = int(rng.integers(6, 40))
+            dtmc = random_functional_graph(rng, n, int(rng.integers(1, 6)))
+            assert_matches_reference(dtmc)
+            probabilities = reach_probabilities(dtmc, bottom_sccs(dtmc))
+            unreached += probabilities.count(0.0)
+        assert unreached >= 300  # the cycle no state points to, at least
+
+    def test_survives_deep_chain(self):
+        n = 30_000
+        edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+        edges.append((n - 1, n - 1, 1.0))
+        dtmc = graph_dtmc(edges, num_states=n)
+        (scc,) = bottom_sccs(dtmc)
+        assert scc.members == frozenset({n - 1})
+        assert reach_probabilities(dtmc, [scc]) == [1.0]
+
+    @pytest.mark.parametrize("algo", ["fp", "gfp", "afffp"])
+    @pytest.mark.parametrize("game_name", ["simple", "shapley", "banded2"])
+    def test_explored_chains(self, game_name, algo):
+        game = {
+            "simple": simple_coordination,
+            "shapley": shapley,
+            "banded2": lambda: complex_coordination(n=2),
+        }[game_name]()
+        kwargs = {"gfp": {"alpha": 0.2}, "afffp": {"lambda0": 0.8}}
+        configs = [
+            ExploreConfig(max_depth=50, tau0=1.0),
+            ExploreConfig(max_depth=3, tau0=1.0),  # truncated
+            ExploreConfig(max_depth=50, tau0=0.3, prob_floor=1e-3),
+            ExploreConfig(max_depth=50, tau0=1e-6),  # pure initial state
+        ]
+        truncated = pure_root = 0
+        for k in range(2):
+            weights = random_initial_weights(game, seed=[37, k])
+            learner = initial_state(algo, game, weights,
+                                    **kwargs.get(algo, {}))
+            for cfg in configs:
+                dtmc = explore(game, learner, cfg)
+                assert_matches_reference(dtmc)
+                truncated += dtmc.truncated
+                pure_root += len(dtmc.out(dtmc.initial_id)) == 1
+        assert truncated >= 2 and pure_root >= 2
+
+
+class TestChainShape:
+    """``Dtmc.functional_graph`` rejects chains exploration cannot build."""
+
+    def test_state_without_transitions(self):
+        dtmc = graph_dtmc([(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0)], 3)
+        with pytest.raises(ValueError, match="state 2 has no transitions"):
+            bottom_sccs(dtmc)
+
+    def test_branching_non_initial_state(self):
+        dtmc = graph_dtmc(
+            [(0, 1, 1.0), (1, 1, 0.5), (1, 2, 0.5), (2, 2, 1.0)], 3
+        )
+        with pytest.raises(ValueError, match="state 1 has 2 transitions"):
+            bottom_sccs(dtmc)
+
+    def test_row_not_summing_to_one(self):
+        dtmc = graph_dtmc([(0, 1, 0.5), (0, 2, 0.4), (1, 1, 1.0),
+                           (2, 2, 1.0)], 3)
+        with pytest.raises(ValueError, match="state 0: transition"):
+            reach_probabilities(dtmc, [])
+
+    def test_nan_probability(self):
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 1, float("nan"))], 2)
+        with pytest.raises(ValueError, match="state 1: transition"):
+            bottom_sccs(dtmc)
+
+    def test_branching_initial_state_re_entered(self):
+        dtmc = graph_dtmc(
+            [(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0), (2, 0, 1.0)], 3
+        )
+        with pytest.raises(ValueError, match="state 0: the initial state"):
+            bottom_sccs(dtmc)
+
+    def test_pure_initial_state_may_lie_on_a_cycle(self):
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3)
+        (scc,) = bottom_sccs(dtmc)
+        assert scc.members == frozenset({0, 1, 2})
+        assert steady_state(dtmc, scc) == {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
+
+    def test_cycle_missing_from_bscc_list(self):
+        dtmc = graph_dtmc([(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0),
+                           (2, 2, 1.0)], 3)
+        first, _ = bottom_sccs(dtmc)
+        with pytest.raises(ValueError, match="state 2 lies on a cycle"):
+            reach_probabilities(dtmc, [first])
+
+    def test_floor_above_every_first_step(self, simple_game, toy_weights):
+        # Every tau0 = 1 first-step probability lies below the floor, so the
+        # initial state keeps no transition; this must not read as a cycle.
+        learner = initial_state("fp", simple_game, toy_weights)
+        dtmc = explore(simple_game, learner,
+                       ExploreConfig(tau0=1.0, prob_floor=0.3))
+        with pytest.raises(ValueError, match="state 0 has no transitions"):
+            analyze(simple_game, dtmc)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(smcl.__file__).resolve().parents[1]
+    code = "import sys, smcl; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert result.stdout.strip() == "False"

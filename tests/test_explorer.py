@@ -213,6 +213,14 @@ class TestExploreLimits:
         with pytest.raises(ValueError):
             ExploreConfig(prob_floor=-0.1)
 
+    @pytest.mark.parametrize(
+        "floor", [math.nan, math.inf, -math.inf, 1.0, 2.0]
+    )
+    def test_rejects_prob_floor_outside_unit_interval(self, floor):
+        # A floor of 1 or more, or NaN, prunes every first-step branch.
+        with pytest.raises(ValueError, match="prob_floor"):
+            ExploreConfig(prob_floor=floor)
+
     def test_learner_game_mismatch(self, simple_game, shapley_game,
                                    toy_weights):
         learner = fp_learner(simple_game, toy_weights)

@@ -205,6 +205,29 @@ class TestCheckCommand:
         assert "line 2" in capsys.readouterr().err
 
 
+    def test_non_finite_prob_floor_exit_code(self, simple_game_file,
+                                             toy_weights_file, capsys):
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "fp",
+            "--weights", str(toy_weights_file), "--prob-floor", "nan",
+        ])
+        assert code == 2
+        assert "prob_floor" in capsys.readouterr().err
+
+    def test_floor_above_every_first_step_fails_the_run(
+        self, simple_game_file, toy_weights_file, capsys
+    ):
+        # Valid floor, but at tau0 = 1 every first-step branch lies below
+        # it: the initial state keeps no transition and the run must fail.
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "fp",
+            "--weights", str(toy_weights_file), "--tau0", "1.0",
+            "--prob-floor", "0.3",
+        ])
+        assert code == 1
+        assert "state 0 has no transitions" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_trace_and_batch_summary(
         self, simple_game_file, toy_weights_file, tmp_path, capsys
