@@ -41,10 +41,9 @@ from .game import (
     smooth_best_response,
 )
 from .learners import (
-    AfffpState,
-    FpState,
-    GfpState,
+    LearnerState,
     estimates,
+    expected_rewards,
     initial_state,
     observe,
 )
@@ -59,7 +58,6 @@ from .simulate import (
 
 __all__ = [
     "AnalysisReport",
-    "AfffpState",
     "BsccReport",
     "Classification",
     "ComplexGameParams",
@@ -67,9 +65,8 @@ __all__ = [
     "EmpiricalResult",
     "ExplorationState",
     "ExploreConfig",
-    "FpState",
     "Game",
-    "GfpState",
+    "LearnerState",
     "Scc",
     "SHAPLEY_EQUAL_WEIGHTS",
     "SIMPLE_COORDINATION_WEIGHTS",
@@ -88,6 +85,7 @@ __all__ = [
     "estimates",
     "expected_reward",
     "expected_reward_vector",
+    "expected_rewards",
     "explore",
     "has_common_maximizer",
     "initial_state",

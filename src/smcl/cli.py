@@ -90,19 +90,19 @@ def _load_weights(args, game):
 
 def _cmd_check(args) -> int:
     game = parse_game(args.game)
-    config = RunConfig(
-        algorithm=args.algo,
-        tau0=args.tau0,
-        alpha=args.alpha,
-        lambda0=args.lambda0,
-        gamma=args.gamma,
-        lambda_min=args.lambda_min,
-        max_depth=args.max_depth,
-        merge_enabled=not args.no_merge,
-        state_cap=args.state_cap,
-        prob_floor=args.prob_floor,
-    )
     try:
+        config = RunConfig(
+            algorithm=args.algo,
+            tau0=args.tau0,
+            alpha=args.alpha,
+            lambda0=args.lambda0,
+            gamma=args.gamma,
+            lambda_min=args.lambda_min,
+            max_depth=args.max_depth,
+            merge_enabled=not args.no_merge,
+            state_cap=args.state_cap,
+            prob_floor=args.prob_floor,
+        )
         config.explore_config()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -136,10 +136,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     game = parse_game(args.game)
-    config = RunConfig(
-        algorithm=args.algo, tau0=args.tau0, alpha=args.alpha,
-        lambda0=args.lambda0, gamma=args.gamma, lambda_min=args.lambda_min,
-    )
+    try:
+        config = RunConfig(
+            algorithm=args.algo, tau0=args.tau0, alpha=args.alpha,
+            lambda0=args.lambda0, gamma=args.gamma,
+            lambda_min=args.lambda_min,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     learner = config.learner(game, _load_weights(args, game))
     trace = simulate(game, learner, args.iterations, args.tau0,
                      [args.seed, 0])

@@ -53,7 +53,7 @@ from .dtmc import (
     reward_gain_argmax,
 )
 from .game import Game, argmax_with_ties, smooth_best_response
-from .similarity import Future, SimilarityContext, _rewards_of, similar
+from .similarity import Future, SimilarityContext, similar
 
 
 class StateBudgetError(RuntimeError):
@@ -84,18 +84,6 @@ class ExploreConfig:
             raise ValueError("prob_floor must be in [0, 1)")
 
 
-def _validate_learner(game: Game, learner) -> None:
-    for i in range(game.num_players):
-        ests = learners.estimates(learner, i, game)
-        for j, sigma in enumerate(ests):
-            if j == i:
-                continue
-            if sigma is None or len(sigma) != game.action_counts[j]:
-                raise ValueError(
-                    "learner state does not match the game's action counts"
-                )
-
-
 def successor(
     state: ExplorationState,
     action,
@@ -109,14 +97,15 @@ def successor(
     default past the first iteration) or ``"sbr"`` with temperature ``tau``.
     The candidate carries no id (-1) until the explorer adopts it.
     """
-    action = game.validate_joint_action(action)
+    action = tuple(int(a) for a in action)
     future = state.future
     if (rule == "br" and future is not None and len(future.steps) > 1
             and action == state.pure_action):
+        # The state's own action: valid, and observed by its future.
         learner, rewards, choice = future.steps[1]
     else:
         learner = learners.observe(state.learner, game, action)
-        rewards = tuple(_rewards_of(game, learner))
+        rewards = learners.expected_rewards(learner, game)
         choice = tuple(argmax_with_ties(r) for r in rewards)
     if rule == "br":
         strategy = tuple(
@@ -151,7 +140,7 @@ def successor(
 
 
 def _initial_state(game: Game, learner, tau0: float) -> ExplorationState:
-    rewards = tuple(_rewards_of(game, learner))
+    rewards = learners.expected_rewards(learner, game)
     strategy = tuple(
         smooth_best_response(game, i, learners.estimates(learner, i, game),
                              tau0)
@@ -371,13 +360,16 @@ class _MergeIndex:
 
 def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
     """Build the chain of reachable learning states breadth first."""
-    _validate_learner(game, initial_learner)
+    if not learners.matches(initial_learner, game):
+        raise ValueError(
+            "learner state does not match the game's action counts"
+        )
     states = [_initial_state(game, initial_learner, cfg.tau0)]
     index = _MergeIndex(game, states.__getitem__) \
         if cfg.merge_enabled else None
     ctx = SimilarityContext(
         game=game,
-        algorithm=learners.algorithm_of(initial_learner),
+        algorithm=initial_learner.algorithm,
         get_state=states.__getitem__,
         path=index.path if index is not None else None,
     )

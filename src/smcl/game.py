@@ -18,9 +18,20 @@ import numpy as np
 ARGMAX_TOL = 1e-9
 
 
-def argmax_with_ties(values: np.ndarray, tol: float = ARGMAX_TOL) -> int:
-    """Index of the largest entry, smallest index winning near-ties."""
+def argmax_with_ties(values: np.ndarray, tol: float = ARGMAX_TOL):
+    """Index of the largest entry, smallest index winning near-ties.
+
+    Works along the last axis: an int for a vector, an int array for a
+    stack of them.  A NaN maximum raises ``ValueError``.
+    """
     values = np.asarray(values, dtype=float)
+    if values.ndim > 1:
+        # Column-major, so that a stack of short rows reduces column by
+        # column rather than one row at a time.
+        peak = np.asfortranarray(values).max(axis=-1, keepdims=True)
+        if np.isnan(peak).any():
+            raise ValueError("no finite maximum in some row")
+        return (values >= peak - tol).argmax(axis=-1)
     top = values >= values.max() - tol
     first = int(top.argmax())  # the first True
     if not top[first]:
@@ -110,39 +121,43 @@ class Game:
         return float(self.reward_tensor(player)[action])
 
 
-def _check_estimates(game: Game, player: int, estimates) -> None:
-    for j in range(game.num_players):
-        if j == player:
-            continue
-        sigma = estimates[j]
-        if sigma is None or len(sigma) != game.action_counts[j]:
-            raise ValueError(f"missing or malformed estimate for opponent {j}")
-
-
 def expected_reward_vector(game: Game, player: int, estimates) -> np.ndarray:
     """Expected reward of each of the player's actions.
 
     ``estimates[j]`` is the player's estimated strategy of opponent ``j``
     (``estimates[player]`` is ignored).  Entry ``a`` of the result is the
     reward of action ``a`` averaged over opponent joint actions weighted by
-    the product of the per-opponent estimates.
+    the product of the per-opponent estimates.  Estimates may carry the
+    same leading batch axes; the result then carries them too.
     """
-    _check_estimates(game, player, estimates)
     out = game.reward_tensor(player)
+    lead = 0  # batch axes in front of out's player axes
     # Contract opponent axes from the highest down so that remaining axis
-    # positions stay valid; the player's own axis survives.  Each step is
-    # the matrix-vector product ``np.tensordot(out, sigma, axes=(axis, 0))``
-    # performs, on the same operand layout (contracted axis moved last),
-    # without its argument handling.
+    # positions stay valid; the player's own axis survives.  Each unbatched
+    # step is the matrix-vector product ``np.tensordot(out, sigma,
+    # axes=(axis, 0))`` performs, on the same operand layout (contracted
+    # axis moved last), without its argument handling.
     for axis in range(game.num_players - 1, -1, -1):
         if axis == player:
             continue
         sigma = np.asarray(estimates[axis], dtype=float)
-        order = [k for k in range(out.ndim) if k != axis]
-        moved = out.transpose(order + [axis])
-        out = np.dot(moved.reshape(-1, len(sigma)), sigma).reshape(
-            moved.shape[:-1]
-        )
+        n = game.action_counts[axis]
+        if sigma.shape[-1:] != (n,):
+            raise ValueError(
+                f"missing or malformed estimate for opponent {axis}"
+            )
+        order = [k for k in range(out.ndim) if k != lead + axis]
+        moved = out.transpose(order + [lead + axis])
+        rest = moved.shape[lead:-1]
+        if lead:
+            flat = moved.reshape(moved.shape[:lead] + (-1, n))
+            out = (flat * sigma[..., None, :]).sum(axis=-1)
+        elif sigma.ndim > 1:
+            out = np.dot(sigma, moved.reshape(-1, n).T)
+            lead = sigma.ndim - 1
+        else:
+            out = np.dot(moved.reshape(-1, n), sigma)
+        out = out.reshape(out.shape[:lead] + rest)
     return out
 
 
@@ -172,9 +187,9 @@ def smooth_best_response(
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     values = expected_reward_vector(game, player, estimates)
-    shifted = (values - values.max()) / tau
+    shifted = (values - values.max(axis=-1, keepdims=True)) / tau
     weights = np.exp(shifted)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def is_pure_nash(game: Game, action) -> bool:

@@ -17,7 +17,12 @@ from .analysis import analyze
 from .dtmc import Dtmc
 from .explorer import ExploreConfig, explore
 from .game import Game
-from .learners import DEFAULT_GAMMA, DEFAULT_LAMBDA_MIN, initial_state
+from .learners import (
+    DEFAULT_GAMMA,
+    DEFAULT_LAMBDA_MIN,
+    check_parameters,
+    initial_state,
+)
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,11 @@ class RunConfig:
     state_cap: int = 1_000_000
     prob_floor: float = 0.0
 
+    def __post_init__(self):
+        check_parameters(self.algorithm, alpha=self.alpha,
+                         lambda0=self.lambda0, gamma=self.gamma,
+                         lambda_min=self.lambda_min)
+
     def explore_config(self) -> ExploreConfig:
         return ExploreConfig(
             max_depth=self.max_depth,
@@ -45,14 +55,11 @@ class RunConfig:
         )
 
     def learner(self, game: Game, weights):
-        kwargs = {}
-        if self.algorithm == "gfp":
-            kwargs["alpha"] = self.alpha
-        elif self.algorithm == "afffp":
-            kwargs["lambda0"] = self.lambda0
-            kwargs["gamma"] = self.gamma
-            kwargs["lambda_min"] = self.lambda_min
-        return initial_state(self.algorithm, game, weights, **kwargs)
+        return initial_state(
+            self.algorithm, game, weights, alpha=self.alpha,
+            lambda0=self.lambda0, gamma=self.gamma,
+            lambda_min=self.lambda_min,
+        )
 
 
 @dataclass

@@ -52,7 +52,9 @@ import numpy as np
 
 from . import learners
 from .dtmc import ExplorationState
-from .game import Game, argmax_with_ties, expected_reward_vector
+from .game import Game, argmax_with_ties
+# Kept in this module's namespace, where profilers look the contraction up.
+from .game import expected_reward_vector  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 
@@ -64,7 +66,7 @@ class SimilarityContext:
     """Everything the relation needs besides the two states."""
 
     game: Game
-    algorithm: str  # "fp" | "gfp" | "afffp"
+    algorithm: str  # the learner state's tag: "fp" | "gfp" | "afffp"
     get_state: Callable[[int], ExplorationState]
     tol: float = DEFAULT_TOL
     # Generation path from an ancestor down to a state, both ends included;
@@ -132,13 +134,6 @@ def _chain_between(s1, s2, get_state) -> list[ExplorationState]:
     return chain
 
 
-def _rewards_of(game: Game, learner) -> list[np.ndarray]:
-    return [
-        expected_reward_vector(game, i, learners.estimates(learner, i, game))
-        for i in range(game.num_players)
-    ]
-
-
 class Future:
     """A pure state's own best-response trajectory, extended on demand.
 
@@ -162,7 +157,7 @@ class Future:
         while len(steps) <= k:
             learner, _, action = steps[-1]
             learner = learners.observe(learner, self.game, action)
-            rewards = tuple(_rewards_of(self.game, learner))
+            rewards = learners.expected_rewards(learner, self.game)
             steps.append(
                 (learner, rewards, tuple(argmax_with_ties(r) for r in rewards))
             )
@@ -186,7 +181,7 @@ def replay_strategies(from_state: ExplorationState, word, game: Game):
     strategies = []
     for action in word:
         learner = learners.observe(learner, game, action)
-        rewards = _rewards_of(game, learner)
+        rewards = learners.expected_rewards(learner, game)
         strategies.append(tuple(argmax_with_ties(r) for r in rewards))
     return strategies
 
@@ -298,7 +293,8 @@ def _futures_agree(s1, s2, horizon: int, ctx: SimilarityContext) -> bool:
     for k in range(1, horizon + 1):
         learner1 = learners.observe(learner1, game, action)
         action = tuple(
-            argmax_with_ties(r) for r in _rewards_of(game, learner1)
+            argmax_with_ties(r)
+            for r in learners.expected_rewards(learner1, game)
         )
         if action != future[k][2]:
             return False

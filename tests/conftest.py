@@ -9,7 +9,6 @@ from smcl import (
 )
 from smcl import learners as learners_mod
 from smcl.game import argmax_with_ties
-from smcl.similarity import _rewards_of
 from smcl.simulate import classify_tail
 
 
@@ -40,7 +39,8 @@ def deterministic_playout(game, learner, first_action, steps):
         actions.append(action)
         learner = learners_mod.observe(learner, game, action)
         action = tuple(
-            argmax_with_ties(r) for r in _rewards_of(game, learner)
+            argmax_with_ties(r)
+            for r in learners_mod.expected_rewards(learner, game)
         )
     return actions
 

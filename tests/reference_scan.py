@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from smcl import learners
 from smcl.dtmc import Dtmc, ExplorationState, MergeEvent, Transition
 from smcl.explorer import _initial_state, _MergeIndex, successor
 from smcl.similarity import DEFAULT_TOL, Future, SimilarityContext, similar
@@ -44,7 +43,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
     states = [_initial_state(game, initial_learner, cfg.tau0)]
     ctx = SimilarityContext(
         game=game,
-        algorithm=learners.algorithm_of(initial_learner),
+        algorithm=initial_learner.algorithm,
         get_state=states.__getitem__,
         tol=tol,
     )

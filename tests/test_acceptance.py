@@ -214,7 +214,10 @@ class TestCriterion6PropertySuites:
                 for i, j in ordered_pairs(2)
             }
             state = initial_state("fp", game, weights)
-            sigma = {p: state.weights[p].copy() for p in ordered_pairs(2)}
+            sigma = {
+                p: state.weights[k].copy()
+                for k, p in enumerate(ordered_pairs(2))
+            }
             for t in range(1, int(rng.integers(2, 8))):
                 action = tuple(int(a) for a in rng.integers(2, size=2))
                 state = observe(state, game, action)
@@ -361,7 +364,7 @@ class TestCriterion6PropertySuites:
 
             h = 1e-4
             base, lo, hi = replay(lam0), replay(lam0 - h), replay(lam0 + h)
-            for pair in ordered_pairs(2):
+            for pair in range(len(ordered_pairs(2))):
                 fd_w = (hi.weights[pair] - lo.weights[pair]) / (2 * h)
                 fd_n = (hi.norms[pair] - lo.norms[pair]) / (2 * h)
                 assert np.abs(base.dweights[pair] - fd_w).max() <= 1e-5

@@ -11,6 +11,7 @@ from smcl import (
     successor,
 )
 from smcl.explorer import _initial_state
+from smcl.similarity import Future
 
 
 def fp_learner(game, weights):
@@ -47,11 +48,12 @@ class TestSuccessor:
         learner = fp_learner(simple_game, toy_weights)
         start = _initial_state(simple_game, learner, tau0=0.01)
         child = successor(start, (0, 0), simple_game)
+        # Rows are the ordered pairs (0, 1) and (1, 0).
         assert np.allclose(
-            child.learner.weights[(0, 1)], [1.511, 0.489], atol=1e-12
+            child.learner.weights[0], [1.511, 0.489], atol=1e-12
         )
         assert np.allclose(
-            child.learner.weights[(1, 0)], [1.489, 0.511], atol=1e-12
+            child.learner.weights[1], [1.489, 0.511], atol=1e-12
         )
         assert child.pure_action == (0, 0)
         assert child.depth == 1
@@ -65,6 +67,19 @@ class TestSuccessor:
         for _ in range(5):
             state = successor(state, state.pure_action, simple_game)
             assert state.pure_action == (0, 0)
+
+    def test_rejects_malformed_action(self, simple_game, toy_weights):
+        learner = fp_learner(simple_game, toy_weights)
+        start = _initial_state(simple_game, learner, tau0=0.01)
+        with pytest.raises(IndexError):
+            successor(start, (0, 2), simple_game)
+        with pytest.raises(ValueError):
+            successor(start, (0,), simple_game)
+        state = successor(start, (0, 0), simple_game)
+        state.future = Future(state, simple_game)
+        state.future[1]
+        with pytest.raises(IndexError):
+            successor(state, (2, 0), simple_game)
 
     def test_rejects_unknown_rule(self, simple_game, toy_weights):
         learner = fp_learner(simple_game, toy_weights)

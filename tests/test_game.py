@@ -249,6 +249,15 @@ class TestArgmaxWithTies:
         with pytest.raises(ValueError, match="finite"):
             argmax_with_ties(np.array([0.1, np.nan]))
 
+    def test_rows_of_a_stack(self):
+        rows = np.array([[0.5, 0.5 + 1e-12, 0.1], [0.1, 0.4, 0.2],
+                         [0.3, 0.2, 0.3], [0.0, 0.0, 1.0]])
+        got = argmax_with_ties(rows.reshape(2, 2, 3))
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == [argmax_with_ties(r) for r in rows]
+        with pytest.raises(ValueError, match="finite"):
+            argmax_with_ties(np.array([[0.1, 0.2], [0.1, np.nan]]))
+
 
 class TestPureNash:
     def test_coordination_diagonal(self, simple_game):

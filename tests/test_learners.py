@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcl import estimates, initial_state, observe
-from smcl.learners import ordered_pairs
+import smcl
+from smcl import Game, estimates, initial_state, observe
+from smcl.learners import broadcast, expected_rewards, ordered_pairs
+
+# Rows of the per-pair arrays: pair (0, 1) is row 0, pair (1, 0) row 1.
+PAIRS = list(enumerate(ordered_pairs(2)))
 
 
 def random_weights(rng, game):
@@ -27,19 +31,18 @@ def random_learner(rng, game, algorithm):
 class TestInitialState:
     def test_fp_normalized_weights_kept(self, simple_game, toy_weights):
         state = initial_state("fp", simple_game, toy_weights)
-        assert np.allclose(state.weights[(0, 1)], [0.511, 0.489], atol=1e-12)
-        assert state.iteration == 0
+        assert np.allclose(state.weights[0], [0.511, 0.489], atol=1e-12)
 
     def test_fp_raw_weights_normalized(self, simple_game):
         state = initial_state(
             "fp", simple_game, {(0, 1): [1.0, 1.0], (1, 0): [3.0, 1.0]}
         )
-        assert np.allclose(state.weights[(0, 1)], [0.5, 0.5])
-        assert np.allclose(state.weights[(1, 0)], [0.75, 0.25])
+        assert np.allclose(state.weights[0], [0.5, 0.5])
+        assert np.allclose(state.weights[1], [0.75, 0.25])
 
     def test_afffp_initialisation(self, simple_game, toy_weights):
         state = initial_state("afffp", simple_game, toy_weights, lambda0=0.8)
-        pair = (0, 1)
+        pair = 0  # (0, 1)
         assert state.norms[pair] == 1.0
         assert state.lams[pair] == 0.8
         assert np.all(state.dweights[pair] == 0.0)
@@ -70,6 +73,17 @@ class TestInitialState:
         with pytest.raises(ValueError):
             initial_state("afffp", simple_game, toy_weights)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5, 1.5]
+    )
+    def test_rejects_lambda_min_outside_unit_interval(
+        self, simple_game, toy_weights, bad
+    ):
+        # NaN would drop the lower clamp: max(x, nan) keeps x.
+        with pytest.raises(ValueError, match="lambda_min"):
+            initial_state("afffp", simple_game, toy_weights, lambda0=0.8,
+                          lambda_min=bad)
+
     def test_unknown_algorithm(self, simple_game, toy_weights):
         with pytest.raises(ValueError):
             initial_state("rm", simple_game, toy_weights)
@@ -81,9 +95,8 @@ class TestFpObserve:
     ):
         state = initial_state("fp", simple_game, toy_weights)
         state = observe(state, simple_game, (0, 0))
-        assert np.allclose(state.weights[(0, 1)], [1.511, 0.489], atol=1e-12)
-        assert np.allclose(state.weights[(1, 0)], [1.489, 0.511], atol=1e-12)
-        assert state.iteration == 1
+        assert np.allclose(state.weights[0], [1.511, 0.489], atol=1e-12)
+        assert np.allclose(state.weights[1], [1.489, 0.511], atol=1e-12)
 
     def test_weight_sum_is_one_plus_iterations(self, simple_game):
         rng = np.random.default_rng(0)
@@ -93,7 +106,7 @@ class TestFpObserve:
         for t in range(1, 30):
             action = tuple(int(a) for a in rng.integers(2, size=2))
             state = observe(state, simple_game, action)
-            for pair in ordered_pairs(2):
+            for pair, _ in PAIRS:
                 assert state.weights[pair].sum() == pytest.approx(
                     1 + t, abs=1e-9
                 )
@@ -105,6 +118,25 @@ class TestFpObserve:
         assert np.allclose(est[1], [0.7555, 0.2445], atol=1e-12)
         assert est[0] is None
 
+    def test_estimates_exact_with_unequal_action_counts(self):
+        # Rows are zero-padded to the largest count; the norm must still be
+        # the sum over the pair's own actions, bit for bit.
+        rng = np.random.default_rng(5)
+        game = Game((9, 6), rng.uniform(0, 1, size=(2, 54)))
+        raw = random_weights(rng, game)
+        state = initial_state("fp", game, raw)
+        kappa = {p: np.asarray(w) / np.sum(w) for p, w in raw.items()}
+        for _ in range(20):
+            action = (int(rng.integers(9)), int(rng.integers(6)))
+            state = observe(state, game, action)
+            for i, j in ordered_pairs(2):
+                kappa[(i, j)] = kappa[(i, j)].copy()
+                kappa[(i, j)][action[j]] += 1.0
+                assert np.array_equal(
+                    estimates(state, i, game)[j],
+                    kappa[(i, j)] / kappa[(i, j)].sum(),
+                )
+
     def test_recursive_form_equivalence(self, simple_game):
         # Normalised counts must equal the convex recursion
         # sigma_t = (1 - 1/(t+1)) sigma_{t-1} + indicator/(t+1).
@@ -113,7 +145,7 @@ class TestFpObserve:
             state = initial_state(
                 "fp", simple_game, random_weights(rng, simple_game)
             )
-            sigma = {p: state.weights[p].copy() for p in ordered_pairs(2)}
+            sigma = {p: state.weights[k].copy() for k, p in PAIRS}
             for t in range(1, 12):
                 action = tuple(int(a) for a in rng.integers(2, size=2))
                 state = observe(state, simple_game, action)
@@ -136,7 +168,8 @@ class TestGfpObserve:
             alpha=0.2,
         )
         state = observe(state, simple_game, (0, 0))
-        assert np.allclose(state.estimates[(0, 1)], [0.6, 0.4], atol=1e-12)
+        # GFP keeps its estimates as the weights, with norm 1.
+        assert np.allclose(state.weights[0], [0.6, 0.4], atol=1e-12)
 
     def test_estimates_stay_distributions(self, simple_game):
         rng = np.random.default_rng(1)
@@ -146,11 +179,11 @@ class TestGfpObserve:
         for _ in range(1000):
             action = tuple(int(a) for a in rng.integers(2, size=2))
             state = observe(state, simple_game, action)
-        for pair in ordered_pairs(2):
-            assert state.estimates[pair].sum() == pytest.approx(
+        for pair, _ in PAIRS:
+            assert state.weights[pair].sum() == pytest.approx(
                 1.0, abs=1e-12
             )
-            assert (state.estimates[pair] >= 0).all()
+            assert (state.weights[pair] >= 0).all()
 
 
 class TestAfffpObserve:
@@ -161,7 +194,7 @@ class TestAfffpObserve:
             lambda0=0.8, gamma=0.05,
         )
         state = observe(state, simple_game, (0, 0))
-        pair = (0, 1)
+        pair = 0  # (0, 1)
         # derivatives were zero, so lambda is unchanged
         assert state.lams[pair] == pytest.approx(0.8, abs=1e-15)
         assert np.allclose(state.dweights[pair], [0.5, 0.5], atol=1e-15)
@@ -180,7 +213,7 @@ class TestAfffpObserve:
         for _ in range(200):
             action = tuple(int(a) for a in rng.integers(2, size=2))
             state = observe(state, simple_game, action)
-            for pair in ordered_pairs(2):
+            for pair, _ in PAIRS:
                 assert state.norms[pair] == pytest.approx(
                     state.weights[pair].sum(), abs=1e-9
                 )
@@ -194,7 +227,7 @@ class TestAfffpObserve:
         for _ in range(300):
             action = tuple(int(a) for a in rng.integers(2, size=2))
             state = observe(state, simple_game, action)
-            for pair in ordered_pairs(2):
+            for pair, _ in PAIRS:
                 assert 0.2 <= state.lams[pair] <= 1.0
 
     def test_derivatives_match_finite_differences(self, simple_game):
@@ -221,7 +254,7 @@ class TestAfffpObserve:
 
             h = 1e-4
             base, lo, hi = replay(lam0), replay(lam0 - h), replay(lam0 + h)
-            for pair in ordered_pairs(2):
+            for pair, _ in PAIRS:
                 fd_weights = (hi.weights[pair] - lo.weights[pair]) / (2 * h)
                 fd_norm = (hi.norms[pair] - lo.norms[pair]) / (2 * h)
                 assert np.allclose(
@@ -289,3 +322,73 @@ class TestSharedProperties:
             est = estimates(state, i, game)[j]
             assert est.sum() == pytest.approx(1.0, abs=1e-9)
             assert (est >= 0).all()
+
+
+def three_player_game(rng):
+    counts = (2, 3, 2)
+    return Game(counts, rng.uniform(0, 1, size=(3, int(np.prod(counts)))))
+
+
+ARRAY_FIELDS = ("weights", "norms", "lams", "dweights", "dnorms")
+
+
+@pytest.mark.parametrize("algorithm", ["fp", "gfp", "afffp"])
+@pytest.mark.parametrize("game_name", ["shapley", "three_player"])
+def test_batched_observe_equals_unbatched_rows(algorithm, game_name):
+    # A batch row is stepped by the same float operations as the state on
+    # its own, so they agree exactly; expected rewards go through another
+    # BLAS call and agree to rounding.
+    rng = np.random.default_rng(7)
+    game = smcl.shapley() if game_name == "shapley" \
+        else three_player_game(rng)
+    runs = 16
+    start = random_learner(rng, game, algorithm)
+    batch = broadcast(start, (runs,))
+    rows = [start] * runs
+    for _ in range(12):
+        actions = np.stack(
+            [rng.integers(n, size=runs) for n in game.action_counts], axis=-1
+        )
+        batch = observe(batch, game, actions)
+        rows = [observe(row, game, tuple(int(a) for a in action))
+                for row, action in zip(rows, actions)]
+        batch_rewards = expected_rewards(batch, game)
+        for r, row in enumerate(rows):
+            for field in ARRAY_FIELDS:
+                assert np.array_equal(getattr(batch, field)[r],
+                                      getattr(row, field)), field
+            for got, want in zip(batch_rewards, expected_rewards(row, game)):
+                assert np.allclose(got[r], want, rtol=0, atol=1e-14)
+
+
+def test_observe_rejects_malformed_action(shapley_game):
+    state = random_learner(np.random.default_rng(0), shapley_game, "afffp")
+    for bad, error in [((0, 3), IndexError), ((0, -1), IndexError),
+                       ((0,), ValueError), ((0, 1, 2), ValueError)]:
+        with pytest.raises(error):
+            observe(state, shapley_game, bad)
+    assert np.array_equal(observe(state, shapley_game, [0, 1]).weights,
+                          observe(state, shapley_game, (0, 1)).weights)
+    batch = broadcast(state, (2,))
+    with pytest.raises(IndexError):
+        observe(batch, shapley_game, np.array([[0, 1], [3, 0]]))
+    with pytest.raises(ValueError):
+        observe(batch, shapley_game, np.array([[0, 1, 0], [1, 0, 0]]))
+
+
+def test_deleted_learner_forks_stay_deleted():
+    # One learner core: the per-algorithm state classes, the simulator's
+    # two-player copy of the update rules and the private helpers around
+    # them must not come back under their old names.
+    import importlib
+    import pkgutil
+
+    deleted = {"_batch_actions_two_player", "_afffp_step", "algorithm_of",
+               "_rewards_of", "FpState", "GfpState", "AfffpState"}
+    modules = [smcl] + [
+        importlib.import_module(f"smcl.{info.name}")
+        for info in pkgutil.iter_modules(smcl.__path__)
+    ]
+    assert len(modules) > 10
+    for module in modules:
+        assert not deleted & set(vars(module)), module.__name__

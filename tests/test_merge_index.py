@@ -125,8 +125,7 @@ def test_successor_reuses_only_the_states_own_first_step():
     state.future = None
     fresh = successor(state, other, game)
     assert reused.pure_action == fresh.pure_action
-    for pair, weights in fresh.learner.weights.items():
-        assert np.array_equal(reused.learner.weights[pair], weights)
+    assert np.array_equal(reused.learner.weights, fresh.learner.weights)
 
 
 def observe_calls(monkeypatch, game, learners, max_depth):

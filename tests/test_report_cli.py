@@ -228,7 +228,50 @@ class TestCheckCommand:
         assert "state 0 has no transitions" in capsys.readouterr().err
 
 
+    def test_non_finite_lambda_min_exit_code(self, simple_game_file,
+                                             toy_weights_file, capsys):
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "afffp",
+            "--weights", str(toy_weights_file), "--lambda-min", "nan",
+        ])
+        assert code == 2
+        assert "error: lambda_min must lie in (0, 1], got nan" \
+            in capsys.readouterr().err
+
+    def test_bad_alpha_rejected_before_any_run(self, simple_game_file,
+                                               capsys):
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "gfp",
+            "--alpha", "2", "--random-inits", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: alpha must lie in (0, 1), got 2.0" in err
+        assert "run 0 failed" not in err
+
+
 class TestSimulateCommand:
+    def test_bad_alpha_exit_code(self, simple_game_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "simulate", "--game", str(simple_game_file), "--algo", "gfp",
+            "--alpha", "2", "--iterations", "5", "--trace", str(trace),
+        ])
+        assert code == 2
+        assert "error: alpha must lie in (0, 1), got 2.0" \
+            in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_non_finite_lambda_min_exit_code(self, simple_game_file,
+                                             tmp_path, capsys):
+        code = main([
+            "simulate", "--game", str(simple_game_file), "--algo", "afffp",
+            "--lambda-min", "nan", "--iterations", "5",
+            "--trace", str(tmp_path / "trace.csv"),
+        ])
+        assert code == 2
+        assert "lambda_min" in capsys.readouterr().err
+
     def test_trace_and_batch_summary(
         self, simple_game_file, toy_weights_file, tmp_path, capsys
     ):

@@ -8,10 +8,29 @@ from smcl import (
     empirical_convergence,
     explore,
     initial_state,
+    random_initial_weights,
+    shapley,
     simulate,
     trace_to_csv,
 )
-from smcl.simulate import _batch_actions_two_player, classify_tail
+from smcl.simulate import _batch_actions, classify_tail
+
+LEARNERS = [("fp", {}), ("gfp", {"alpha": 0.2}), ("afffp", {"lambda0": 0.8})]
+
+
+def assert_batch_matches_runs(game, weights, runs, iterations, tau0):
+    """Every batch run replays ``simulate`` with the seed pair [5, r]."""
+    tails = set()
+    for algo, kw in LEARNERS:
+        learner = initial_state(algo, game, weights, **kw)
+        batch = _batch_actions(game, learner, runs, iterations, seed=5,
+                               tau0=tau0)
+        for r in range(runs):
+            trace = simulate(game, learner, iterations, tau0, [5, r])
+            assert [tuple(int(x) for x in row) for row in batch[r]] \
+                == trace.actions
+        tails |= {(algo, batch[r, -8:].tobytes()) for r in range(runs)}
+    return tails
 
 
 class TestSimulate:
@@ -129,18 +148,35 @@ class TestEmpiricalConvergence:
     def test_batch_engine_matches_per_run_simulate(
         self, simple_game, toy_weights
     ):
-        for algo, kw in [
-            ("fp", {}), ("gfp", {"alpha": 0.2}),
-            ("afffp", {"lambda0": 0.8}),
-        ]:
+        for algo, kw in LEARNERS:
             learner = initial_state(algo, simple_game, toy_weights, **kw)
-            batch = _batch_actions_two_player(
+            batch = _batch_actions(
                 simple_game, learner, 40, 25, seed=5, tau0=0.01
             )
             for r in range(40):
                 trace = simulate(simple_game, learner, 25, 0.01, [5, r])
                 assert [tuple(int(x) for x in row) for row in batch[r]] \
                     == trace.actions
+
+    def test_batch_matches_runs_on_shapley(self):
+        # On the cyclic game a run's tail depends on the update rule, not
+        # only on its first action, so a wrong rule in the batch shows.
+        game = shapley()
+        tails = assert_batch_matches_runs(
+            game, random_initial_weights(game, [2, 0]), runs=60,
+            iterations=40, tau0=1.0,
+        )
+        for algo, _ in LEARNERS:
+            assert sum(1 for a, _ in tails if a == algo) >= 3
+
+    def test_batch_matches_runs_on_three_player_game(self):
+        rng = np.random.default_rng(11)
+        counts = (2, 3, 2)
+        game = Game(counts, rng.uniform(0, 1, size=(3, 12)))
+        assert_batch_matches_runs(
+            game, random_initial_weights(game, [3, 0]), runs=40,
+            iterations=30, tau0=0.3,
+        )
 
     @pytest.mark.parametrize(
         "algo,kw",
