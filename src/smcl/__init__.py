@@ -47,7 +47,7 @@ from .learners import (
     initial_state,
     observe,
 )
-from .similarity import SimilarityContext, replay_strategies, similar
+from .similarity import SimilarityContext, similar
 from .simulate import (
     EmpiricalResult,
     Trace,
@@ -94,7 +94,6 @@ __all__ = [
     "observe",
     "random_initial_weights",
     "reach_probabilities",
-    "replay_strategies",
     "shapley",
     "similar",
     "simple_coordination",

@@ -142,6 +142,12 @@ def _cmd_simulate(args) -> int:
             lambda0=args.lambda0, gamma=args.gamma,
             lambda_min=args.lambda_min,
         )
+        if not args.tau0 > 0:
+            raise ValueError(f"tau0 must be positive, got {args.tau0}")
+        if args.iterations < 1:
+            raise ValueError(
+                f"--iterations must be at least 1, got {args.iterations}"
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,18 @@
 """State and chain types produced by the exploration of a learning run.
 
-An exploration state pairs the joint strategy the players would use with the
-full parameter vector of the learning algorithm, plus the bookkeeping the
-merge relation needs: the generating parent, the joint action that led here,
-and snapshots of the predecessor's strategy and expected rewards.
+Exploration builds a chain of one shape.  Only the initial state mixes: its
+``strategy`` is the first-step distribution over each player's actions.
+Every later state plays a pure best response, held in ``pure_action``, and
+has one successor.  Besides the learner parameters, a state keeps what the
+merge relation compares: its expected rewards, the generating parent, the
+joint action that led here, the parent's pure action and the per-player
+argmax of the expected-reward gain over the parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +30,12 @@ class Transition(NamedTuple):
 
 @dataclass
 class ExplorationState:
-    """One node of the chain: joint strategy plus learner parameters."""
+    """One node of the chain: learner parameters plus what the state plays.
+
+    The initial state carries its first-step ``strategy`` and, when that is
+    degenerate, its ``pure_action`` as well; every other state carries only
+    ``pure_action`` and has ``strategy=None``.
+    """
 
     id: int
     strategy: tuple[np.ndarray, ...] | None
@@ -35,12 +44,10 @@ class ExplorationState:
     parent_id: int | None = None
     executed_from_parent: tuple[int, ...] | None = None
     expected_rewards: tuple[np.ndarray, ...] | None = None
-    predecessor_strategy: tuple[np.ndarray, ...] | None = None
-    predecessor_expected_rewards: tuple[np.ndarray, ...] | None = None
-    # Joint action executed here when the strategy is degenerate.
+    # Joint action executed here; None only for a mixed initial state.
     pure_action: tuple[int, ...] | None = None
-    # The predecessor's pure action, cached so the merge relation can
-    # compare predecessor strategies without touching the arrays.
+    # The parent's pure action; None for the children of a mixed initial
+    # state, which are the only states with a mixed parent.
     predecessor_pure_action: tuple[int, ...] | None = None
     # Per player, argmax of (expected rewards here - at the predecessor);
     # cached because the merge relation compares it for every candidate.
@@ -84,12 +91,6 @@ def pure_action_of(strategy, tol: float = STRATEGY_TOL):
     return tuple(action)
 
 
-def one_hot(index: int, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[index] = 1.0
-    return out
-
-
 def reward_gain_argmax(current, previous) -> tuple[int, ...]:
     """Per player, the action whose expected reward grew the most."""
     return tuple(
@@ -102,7 +103,6 @@ class MergeEvent(NamedTuple):
     source_id: int
     action: tuple[int, ...]
     target_id: int
-    candidate: ExplorationState  # the state that was folded away (id == -1)
 
 
 @dataclass
@@ -160,7 +160,14 @@ class Dtmc:
         whose probabilities do not sum to 1 within 1e-9; for a branching
         initial state, it names the initial state when something re-enters
         it.
+
+        The result is computed once per chain, which is not modified after
+        exploration, so the analysis passes share one validation.
         """
+        return self._functional_graph
+
+    @cached_property
+    def _functional_graph(self):
         root = self.initial_id
         successor = [0] * self.num_states
         for sid in range(self.num_states):

@@ -48,11 +48,10 @@ from .dtmc import (
     ExplorationState,
     MergeEvent,
     Transition,
-    one_hot,
     pure_action_of,
     reward_gain_argmax,
 )
-from .game import Game, argmax_with_ties, smooth_best_response
+from .game import Game, smooth_best_response
 from .similarity import Future, SimilarityContext, similar
 
 
@@ -85,55 +84,32 @@ class ExploreConfig:
 
 
 def successor(
-    state: ExplorationState,
-    action,
-    game: Game,
-    rule: str = "br",
-    tau: float | None = None,
+    state: ExplorationState, action, game: Game
 ) -> ExplorationState:
     """Candidate state reached by firing ``action`` from ``state``.
 
-    ``rule`` selects the decision rule of the new state: ``"br"`` (the
-    default past the first iteration) or ``"sbr"`` with temperature ``tau``.
-    The candidate carries no id (-1) until the explorer adopts it.
+    The candidate plays the best response to its learner's estimates and
+    carries no id (-1) until the explorer adopts it.
     """
     action = tuple(int(a) for a in action)
     future = state.future
-    if (rule == "br" and future is not None and len(future.steps) > 1
+    if (future is not None and len(future.steps) > 1
             and action == state.pure_action):
         # The state's own action: valid, and observed by its future.
         learner, rewards, choice = future.steps[1]
     else:
-        learner = learners.observe(state.learner, game, action)
-        rewards = learners.expected_rewards(learner, game)
-        choice = tuple(argmax_with_ties(r) for r in rewards)
-    if rule == "br":
-        strategy = tuple(
-            one_hot(choice[i], game.action_counts[i])
-            for i in range(game.num_players)
+        learner, rewards, choice = learners.best_response_step(
+            state.learner, game, action
         )
-        pure = choice
-    elif rule == "sbr":
-        strategy = tuple(
-            smooth_best_response(
-                game, i, learners.estimates(learner, i, game), tau
-            )
-            for i in range(game.num_players)
-        )
-        pure = pure_action_of(strategy)
-    else:
-        raise ValueError(f"unknown decision rule {rule!r}")
     return ExplorationState(
         id=-1,
-        strategy=strategy,
+        strategy=None,
         learner=learner,
         depth=state.depth + 1,
         parent_id=state.id,
         executed_from_parent=action,
         expected_rewards=rewards,
-        predecessor_strategy=state.strategy,
-        predecessor_expected_rewards=state.expected_rewards,
-        pure_action=pure,
+        pure_action=choice,
         predecessor_pure_action=state.pure_action,
         reward_gain_argmax=reward_gain_argmax(rewards, state.expected_rewards),
     )
@@ -365,14 +341,12 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
             "learner state does not match the game's action counts"
         )
     states = [_initial_state(game, initial_learner, cfg.tau0)]
-    index = _MergeIndex(game, states.__getitem__) \
-        if cfg.merge_enabled else None
-    ctx = SimilarityContext(
-        game=game,
-        algorithm=initial_learner.algorithm,
-        get_state=states.__getitem__,
-        path=index.path if index is not None else None,
-    )
+    index = ctx = None
+    if cfg.merge_enabled:
+        index = _MergeIndex(game, states.__getitem__)
+        ctx = SimilarityContext(
+            game=game, algorithm=initial_learner.algorithm, path=index.path
+        )
     transitions: dict[int, list[Transition]] = {}
     merge_events: list[MergeEvent] = []
 
@@ -396,9 +370,7 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
                         if similar(states[tid], candidate, ctx,
                                    distance=distance):
                             target = tid
-                            merge_events.append(
-                                MergeEvent(sid, action, tid, candidate)
-                            )
+                            merge_events.append(MergeEvent(sid, action, tid))
                             candidate.future = None
                             break
                 if target is None:

@@ -308,3 +308,15 @@ def expected_rewards(state: LearnerState, game) -> tuple[np.ndarray, ...]:
         games.expected_reward_vector(game, i, _split(sigma, i, game))
         for i in range(game.num_players)
     )
+
+
+def best_response_step(state: LearnerState, game, executed):
+    """One step past the first iteration, for an unbatched state.
+
+    All players observe ``executed``, then each plays a best response to
+    its new estimates.  Returns ``(state, expected_rewards, joint_action)``
+    after the step.
+    """
+    state = observe(state, game, executed)
+    rewards = expected_rewards(state, game)
+    return state, rewards, tuple(games.argmax_with_ties(r) for r in rewards)

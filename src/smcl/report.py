@@ -117,7 +117,8 @@ def check_single(config: RunConfig, game: Game, weights,
         (s.depth for s in dtmc.states if not s.is_sink), default=0
     )
     record.depth_last_merge = max(
-        (e.candidate.depth for e in dtmc.merge_events), default=0
+        (dtmc.state(e.source_id).depth + 1 for e in dtmc.merge_events),
+        default=0,
     )
     record.truncated = dtmc.truncated
     record.bsccs = [_bscc_payload(b) for b in analysis.bsccs]

@@ -14,14 +14,15 @@ two states are related in the generation tree:
   reward of each step's action must have moved the right way -- shrunk for
   plain FP (its oscillations damp out on a loop) and grown for the
   discounted variants (their estimates keep strengthening on a loop);
-* no path: the two predecessors must have used the same strategy, the
-  rewards must show the same movement as on a path relative to the other
-  actions (under plain FP the executed action's reward has damped while no
-  other action's dropped; under the discounted variants the executed
-  action's reward has grown while no other action's rose -- the signature
-  of two branches approaching one loop from opposite phases), and playing
-  both states forward in lockstep must produce identical strategies over
-  twice the generation lag.  The last check separates genuinely equivalent
+* no path: the two predecessors must have played the same joint action
+  (or both be the initial state, the only one that mixes), the rewards
+  must show the same movement as on a path relative to the other actions
+  (under plain FP the executed action's reward has damped while no other
+  action's dropped; under the discounted variants the executed action's
+  reward has grown while no other action's rose -- the signature of two
+  branches approaching one loop from opposite phases), and playing both
+  states forward in lockstep must produce identical strategies over twice
+  the generation lag.  The last check separates genuinely equivalent
   branches from loops whose repetition pattern is still stretching, which
   show the same reward movements but drift apart when replayed.
 
@@ -38,8 +39,8 @@ only for the bucket entries its merge index has not already ruled out (see
 ``explorer``), passing the generation-tree distance, a path provider in the
 context, and the candidate's ``Future``: the later state's best-response
 trajectory, which every path replay and lockstep replay from that state
-reads instead of re-observing it.  Called without these, it walks parent
-links and replays from scratch, with the same result.
+reads instead of re-observing it.  A state without a future gets a fresh
+one, with the same result.
 """
 
 from __future__ import annotations
@@ -52,13 +53,11 @@ import numpy as np
 
 from . import learners
 from .dtmc import ExplorationState
-from .game import Game, argmax_with_ties
+from .game import Game
 # Kept in this module's namespace, where profilers look the contraction up.
 from .game import expected_reward_vector  # noqa: F401
 
 DEFAULT_TOL = 1e-9
-
-_UNRESOLVED = object()
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,10 @@ class SimilarityContext:
 
     game: Game
     algorithm: str  # the learner state's tag: "fp" | "gfp" | "afffp"
-    get_state: Callable[[int], ExplorationState]
-    tol: float = DEFAULT_TOL
-    # Generation path from an ancestor down to a state, both ends included;
-    # the parent links are walked when no faster source is given.
+    # Generation path from an ancestor down to a state, both ends included.
     path: Callable[[ExplorationState, ExplorationState],
-                   list[ExplorationState]] | None = None
+                   list[ExplorationState]]
+    tol: float = DEFAULT_TOL
 
     @cached_property
     def best_raw_reply(self) -> tuple[np.ndarray, ...]:
@@ -83,55 +80,6 @@ class SimilarityContext:
             raw = self.game.reward_tensor(i)
             out.append(raw >= raw.max(axis=i, keepdims=True) - self.tol)
         return tuple(out)
-
-
-def _strategies_equal(a, b, tol: float) -> bool:
-    if a is None or b is None:
-        return False
-    if a is b:
-        return True
-    return all(
-        np.allclose(da, db, rtol=0.0, atol=tol) for da, db in zip(a, b)
-    )
-
-
-def _predecessors_equal(s1, s2, tol: float) -> bool:
-    # Pure predecessors compare by executed action; the mixed initial state
-    # is a single shared object, so identity covers it.
-    if s1.predecessor_pure_action is not None \
-            and s2.predecessor_pure_action is not None:
-        return s1.predecessor_pure_action == s2.predecessor_pure_action
-    if s1.predecessor_pure_action is None \
-            and s2.predecessor_pure_action is None:
-        return _strategies_equal(
-            s1.predecessor_strategy, s2.predecessor_strategy, tol
-        )
-    return False
-
-
-def ancestor_distance(s1, s2, get_state) -> int | None:
-    """Length of the generation-tree path from s1 down to s2, if any."""
-    if s1 is s2 or (s2.id >= 0 and s1.id == s2.id):
-        return 0
-    steps = 0
-    current = s2
-    while current.parent_id is not None:
-        current = get_state(current.parent_id)
-        steps += 1
-        if current.id == s1.id:
-            return steps
-    return None
-
-
-def _chain_between(s1, s2, get_state) -> list[ExplorationState]:
-    """States along the generation path, s1 first, s2 last."""
-    chain = [s2]
-    current = s2
-    while current.id != s1.id:
-        current = get_state(current.parent_id)
-        chain.append(current)
-    chain.reverse()
-    return chain
 
 
 class Future:
@@ -156,34 +104,14 @@ class Future:
         steps = self.steps
         while len(steps) <= k:
             learner, _, action = steps[-1]
-            learner = learners.observe(learner, self.game, action)
-            rewards = learners.expected_rewards(learner, self.game)
             steps.append(
-                (learner, rewards, tuple(argmax_with_ties(r) for r in rewards))
+                learners.best_response_step(learner, self.game, action)
             )
         return steps[k]
 
 
 def _future_of(state: ExplorationState, game: Game) -> Future:
     return state.future if state.future is not None else Future(state, game)
-
-
-def replay_strategies(from_state: ExplorationState, word, game: Game):
-    """Joint strategies produced by playing ``word`` from a state.
-
-    The learner is cloned, each joint action observed in turn, and the
-    best-response strategy recorded after every step (replays only ever
-    happen past the first iteration, where best response is the rule).
-    """
-    if not word:
-        raise ValueError("replay needs a non-empty action word")
-    learner = from_state.learner
-    strategies = []
-    for action in word:
-        learner = learners.observe(learner, game, action)
-        rewards = learners.expected_rewards(learner, game)
-        strategies.append(tuple(argmax_with_ties(r) for r in rewards))
-    return strategies
 
 
 def _initial_step_agrees(s1, s2, ctx: SimilarityContext) -> bool:
@@ -233,10 +161,7 @@ def _path_replay_agrees(s1, s2, ctx: SimilarityContext) -> bool:
     # The word starts with s1's action, which is s2's own, and every later
     # letter must equal the replayed action: the replay is s2's future.
     game = ctx.game
-    if ctx.path is not None:
-        chain = ctx.path(s1, s2)
-    else:
-        chain = _chain_between(s1, s2, ctx.get_state)
+    chain = ctx.path(s1, s2)
     future = _future_of(s2, game)
     for j in range(1, len(chain)):
         _, rewards, replayed = future[j]
@@ -260,7 +185,9 @@ MAX_LOCKSTEP_HORIZON = 512
 
 
 def _disjoint_branches_agree(s1, s2, ctx: SimilarityContext) -> bool:
-    if not _predecessors_equal(s1, s2, ctx.tol):
+    # Equal predecessors.  Comparing actions is exact: a chain's one mixed
+    # state is its initial state, and its children have None here.
+    if s1.predecessor_pure_action != s2.predecessor_pure_action:
         return False
     damped = ctx.algorithm == "fp"
     executed = s1.pure_action
@@ -291,10 +218,8 @@ def _futures_agree(s1, s2, horizon: int, ctx: SimilarityContext) -> bool:
     action = s1.pure_action
     learner1 = s1.learner
     for k in range(1, horizon + 1):
-        learner1 = learners.observe(learner1, game, action)
-        action = tuple(
-            argmax_with_ties(r)
-            for r in learners.expected_rewards(learner1, game)
+        learner1, _, action = learners.best_response_step(
+            learner1, game, action
         )
         if action != future[k][2]:
             return False
@@ -305,22 +230,18 @@ def similar(
     s1: ExplorationState,
     s2: ExplorationState,
     ctx: SimilarityContext,
-    distance=_UNRESOLVED,
+    distance: int | None,
 ) -> bool:
     """Whether the earlier state s1 subsumes the later state s2.
 
-    ``distance`` may carry a precomputed generation-tree distance from s1
-    down to s2 (``None`` when no path exists); it is derived from the parent
-    links otherwise.
+    ``distance`` is the generation-tree distance from s1 down to s2: 0 for
+    the same state, ``None`` when no path exists.
     """
     if s1.is_sink or s2.is_sink:
         return False
     # States without a predecessor (the initial state) carry no reward
     # history to compare; they never merge.
-    if (
-        s1.predecessor_expected_rewards is None
-        or s2.predecessor_expected_rewards is None
-    ):
+    if s1.parent_id is None or s2.parent_id is None:
         return False
     if s1.pure_action is None or s2.pure_action is None:
         return False
@@ -330,8 +251,6 @@ def similar(
         return False
     if not _shared_prefix_guard(s1, s2, ctx):
         return False
-    if distance is _UNRESOLVED:
-        distance = ancestor_distance(s1, s2, ctx.get_state)
     if distance == 0:
         return True
     if distance == 1:

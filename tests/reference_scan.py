@@ -1,10 +1,10 @@
 """Reference merge scan: the explorer's loop without the merge index.
 
 Buckets hold entries by executed joint action only, generation-tree
-distances come from walking the candidate's parent links, and ``similar()``
-is asked about every bucket entry, newest first.  No future is shared and
-no entry is skipped, so the chain this builds is what the relation alone
-defines; the indexed explorer must reproduce it exactly.
+distances and paths come from walking the candidate's parent links, and
+``similar()`` is asked about every bucket entry, newest first.  No future
+is shared and no entry is skipped, so the chain this builds is what the
+relation alone defines; the indexed explorer must reproduce it exactly.
 
 With ``index_check`` set, a ``_MergeIndex`` is kept alongside and, for every
 candidate, every entry ``similar()`` accepts must be among the index's
@@ -32,6 +32,18 @@ def ancestor_distances(candidate: ExplorationState, states) -> dict:
     return distances
 
 
+def chain_between(s1: ExplorationState, s2: ExplorationState,
+                  states) -> list[ExplorationState]:
+    """States along the generation path, the ancestor s1 first, s2 last."""
+    chain = [s2]
+    current = s2
+    while current.id != s1.id:
+        current = states[current.parent_id]
+        chain.append(current)
+    chain.reverse()
+    return chain
+
+
 def reference_explore(game, initial_learner, cfg, index_check=False,
                       tol=DEFAULT_TOL):
     """The explorer's chain, built by a full newest-first bucket scan.
@@ -44,7 +56,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
     ctx = SimilarityContext(
         game=game,
         algorithm=initial_learner.algorithm,
-        get_state=states.__getitem__,
+        path=lambda s1, s2: chain_between(s1, s2, states),
         tol=tol,
     )
     index = _MergeIndex(game, states.__getitem__) if index_check else None
@@ -80,9 +92,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
                         )
                     if accepted:
                         target = accepted[0]
-                        merge_events.append(
-                            MergeEvent(sid, action, target, candidate)
-                        )
+                        merge_events.append(MergeEvent(sid, action, target))
                 if target is None:
                     target = len(states)
                     candidate.id = target

@@ -463,6 +463,22 @@ class TestChainShape:
             analyze(simple_game, dtmc)
 
 
+def test_analyze_validates_the_chain_once(simple_game, toy_weights,
+                                          monkeypatch):
+    # Validation reads every state's transitions once; bottom_sccs and
+    # reach_probabilities share its result.
+    dtmc = coordination_dtmc(simple_game, toy_weights)
+    out, calls = dtmc.out, []
+
+    def counting(sid):
+        calls.append(sid)
+        return out(sid)
+
+    monkeypatch.setattr(dtmc, "out", counting)
+    analyze(simple_game, dtmc)
+    assert len(calls) == dtmc.num_states + 1
+
+
 def test_import_does_not_load_scipy():
     src = Path(smcl.__file__).resolve().parents[1]
     code = "import sys, smcl; print('scipy' in sys.modules)"

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from smcl import (
+    ExplorationState,
     ExploreConfig,
     StateBudgetError,
+    complex_coordination,
     explore,
     initial_state,
+    random_initial_weights,
     successor,
 )
 from smcl.explorer import _initial_state
@@ -81,14 +84,24 @@ class TestSuccessor:
         with pytest.raises(IndexError):
             successor(state, (2, 0), simple_game)
 
-    def test_rejects_unknown_rule(self, simple_game, toy_weights):
-        learner = fp_learner(simple_game, toy_weights)
-        start = _initial_state(simple_game, learner, tau0=0.01)
-        with pytest.raises(ValueError):
-            successor(start, (0, 0), simple_game, rule="greedy")
-
 
 class TestExploreStructure:
+    def test_only_the_initial_state_keeps_a_strategy(self):
+        # Only the initial state mixes; every later state is read through
+        # its pure action, and a merge keeps ids and the action only.
+        game = complex_coordination(n=2)
+        learner = initial_state("fp", game,
+                                random_initial_weights(game, [31, 0]))
+        dtmc = exploration(game, learner, max_depth=10, tau0=1.0)
+        assert dtmc.sink_id is not None and dtmc.merge_events
+        assert dtmc.state(dtmc.initial_id).strategy is not None
+        for state in dtmc.states:
+            if state.id not in (dtmc.initial_id, dtmc.sink_id):
+                assert state.strategy is None, state.id
+                assert state.pure_action is not None
+        for event in dtmc.merge_events:
+            assert not any(isinstance(f, ExplorationState) for f in event)
+
     def test_three_bsccs_on_coordination_game(
         self, simple_game, toy_weights
     ):

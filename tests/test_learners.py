@@ -379,12 +379,16 @@ def test_observe_rejects_malformed_action(shapley_game):
 def test_deleted_learner_forks_stay_deleted():
     # One learner core: the per-algorithm state classes, the simulator's
     # two-player copy of the update rules and the private helpers around
-    # them must not come back under their old names.
+    # them must not come back under their old names.  Nor must the merge
+    # relation's parent-link fallback, its strategy comparison, or the
+    # per-state one-hot strategies and word replays.
     import importlib
     import pkgutil
 
     deleted = {"_batch_actions_two_player", "_afffp_step", "algorithm_of",
-               "_rewards_of", "FpState", "GfpState", "AfffpState"}
+               "_rewards_of", "FpState", "GfpState", "AfffpState",
+               "one_hot", "ancestor_distance", "_chain_between",
+               "_UNRESOLVED", "_strategies_equal", "replay_strategies"}
     modules = [smcl] + [
         importlib.import_module(f"smcl.{info.name}")
         for info in pkgutil.iter_modules(smcl.__path__)

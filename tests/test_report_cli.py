@@ -272,6 +272,30 @@ class TestSimulateCommand:
         assert code == 2
         assert "lambda_min" in capsys.readouterr().err
 
+    def test_nan_tau0_rejected_before_any_run(self, simple_game_file,
+                                              tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "simulate", "--game", str(simple_game_file), "--algo", "fp",
+            "--iterations", "5", "--tau0", "nan", "--trace", str(trace),
+        ])
+        assert code == 2
+        assert "error: tau0 must be positive, got nan" \
+            in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_zero_iterations_rejected_before_any_run(self, simple_game_file,
+                                                     tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "simulate", "--game", str(simple_game_file), "--algo", "fp",
+            "--iterations", "0", "--trace", str(trace),
+        ])
+        assert code == 2
+        assert "error: --iterations must be at least 1, got 0" \
+            in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_trace_and_batch_summary(
         self, simple_game_file, toy_weights_file, tmp_path, capsys
     ):

@@ -5,13 +5,14 @@ from smcl import (
     SimilarityContext,
     explore,
     initial_state,
-    replay_strategies,
     similar,
     successor,
 )
 from smcl.explorer import _initial_state
+from smcl.similarity import Future
 
 from conftest import brute_force_reach, playout_class
+from reference_scan import ancestor_distances, chain_between
 
 
 def fp_chain(simple_game, toy_weights, word):
@@ -30,8 +31,14 @@ def context(game, algorithm, chain):
     return SimilarityContext(
         game=game,
         algorithm=algorithm,
-        get_state=lambda sid: chain[sid],
+        path=lambda s1, s2: chain_between(s1, s2, chain),
     )
+
+
+def similar_in(chain, s1, s2, ctx):
+    """``similar()`` with the generation-tree distance taken from ``chain``."""
+    distance = 0 if s1 is s2 else ancestor_distances(s2, chain).get(s1.id)
+    return similar(s1, s2, ctx, distance=distance)
 
 
 class TestSimilarOnCoordinationCycle:
@@ -47,19 +54,19 @@ class TestSimilarOnCoordinationCycle:
         ctx = context(simple_game, "fp", chain)
         assert chain[1].pure_action == (1, 0)
         assert chain[3].pure_action == (1, 0)
-        assert similar(chain[1], chain[3], ctx)
+        assert similar_in(chain, chain[1], chain[3], ctx)
 
     def test_reflexive_on_non_initial_states(self, simple_game, toy_weights):
         chain = fp_chain(simple_game, toy_weights, [(0, 1), (1, 0)])
         ctx = context(simple_game, "fp", chain)
         for state in chain[1:]:
-            assert similar(state, state, ctx)
+            assert similar_in(chain, state, state, ctx)
 
     def test_initial_state_never_similar(self, simple_game, toy_weights):
         chain = fp_chain(simple_game, toy_weights, [(0, 1)])
         ctx = context(simple_game, "fp", chain)
-        assert not similar(chain[0], chain[1], ctx)
-        assert not similar(chain[0], chain[0], ctx)
+        assert not similar_in(chain, chain[0], chain[1], ctx)
+        assert not similar_in(chain, chain[0], chain[0], ctx)
 
     def test_different_executed_actions_never_merge(
         self, simple_game, toy_weights
@@ -67,7 +74,7 @@ class TestSimilarOnCoordinationCycle:
         chain = fp_chain(simple_game, toy_weights, [(0, 1), (1, 0)])
         ctx = context(simple_game, "fp", chain)
         assert chain[1].pure_action != chain[2].pure_action
-        assert not similar(chain[1], chain[2], ctx)
+        assert not similar_in(chain, chain[1], chain[2], ctx)
 
     def test_first_lap_does_not_merge_into_run_state(
         self, simple_game, toy_weights
@@ -77,7 +84,7 @@ class TestSimilarOnCoordinationCycle:
         chain = fp_chain(simple_game, toy_weights, [(1, 0), (0, 1), (0, 1)])
         ctx = context(simple_game, "fp", chain)
         assert chain[1].pure_action == chain[2].pure_action == (0, 1)
-        assert not similar(chain[1], chain[2], ctx)
+        assert not similar_in(chain, chain[1], chain[2], ctx)
 
 
 class TestReplayStrategies:
@@ -85,15 +92,8 @@ class TestReplayStrategies:
         self, simple_game, toy_weights
     ):
         chain = fp_chain(simple_game, toy_weights, [(0, 1), (1, 0)])
-        replayed = replay_strategies(
-            chain[1], [chain[1].pure_action], simple_game
-        )
-        assert replayed == [chain[2].pure_action]
-
-    def test_empty_word_rejected(self, simple_game, toy_weights):
-        chain = fp_chain(simple_game, toy_weights, [(0, 1)])
-        with pytest.raises(ValueError):
-            replay_strategies(chain[1], [], simple_game)
+        assert chain[2].executed_from_parent == chain[1].pure_action
+        assert Future(chain[1], simple_game)[1][2] == chain[2].pure_action
 
     def test_shapley_three_cycle_returns_to_start(
         self, shapley_game, shapley_weights
@@ -102,9 +102,12 @@ class TestReplayStrategies:
         state = _initial_state(shapley_game, learner, tau0=0.01)
         entry = successor(state, (0, 0), shapley_game)
         entry.id = 1
-        word = [(0, 0), (2, 2), (1, 1)]
-        replayed = replay_strategies(entry, word, shapley_game)
-        assert replayed[-1] == entry.pure_action
+        future = Future(entry, shapley_game)
+        # The state's own best-response run: one lap of the diagonal
+        # three-cycle, starting from the state's action.
+        word = [(2, 2), (1, 1), (0, 0)]
+        assert [future[k][2] for k in range(len(word))] == word
+        assert future[len(word)][2] == entry.pure_action
 
 
 def collect_case_study_dtmcs(simple_game, shapley_game, toy, sh_eq):
@@ -140,10 +143,12 @@ class TestMergeSoundness:
         for game, _, dtmc in cases:
             for event in dtmc.merge_events:
                 target = dtmc.state(event.target_id)
-                horizon = 2 * event.candidate.depth + 60
+                candidate = successor(
+                    dtmc.state(event.source_id), event.action, game
+                )
+                horizon = 2 * candidate.depth + 60
                 cls_candidate = playout_class(
-                    game, event.candidate.learner,
-                    event.candidate.pure_action, horizon,
+                    game, candidate.learner, candidate.pure_action, horizon,
                 )
                 cls_target = playout_class(
                     game, target.learner, target.pure_action, horizon
@@ -158,10 +163,13 @@ class TestMergeSoundness:
         cases = collect_case_study_dtmcs(
             simple_game, shapley_game, toy_weights, shapley_weights
         )
-        for _, _, dtmc in cases:
+        for game, _, dtmc in cases:
             for event in dtmc.merge_events:
                 target = dtmc.state(event.target_id)
-                assert target.pure_action == event.candidate.pure_action
+                candidate = successor(
+                    dtmc.state(event.source_id), event.action, game
+                )
+                assert target.pure_action == candidate.pure_action
 
 
 class TestProbabilityPreservation:
