@@ -1,14 +1,14 @@
 """Long-run analysis of an explored chain.
 
-Exploration builds a chain of one shape (``Dtmc.functional_graph``): the
-initial state may branch with its first-iteration probabilities, and every
-other state has exactly one successor.  The bottom strongly connected
-components, the absorbing structures, are then the cycles of that successor
-map, found by following successors from each state until a walk meets a
-state already seen.  A BSCC is reached with the initial probability of the
-branches whose paths run into its cycle, and its steady state is uniform,
-since a deterministic cycle of k states spends 1/k of its time in each.
-Each BSCC is classified by the joint actions it keeps firing.
+Exploration stores the chain as a functional graph (see ``Dtmc``): every
+state but a branching initial state has one successor, and the initial
+state's transitions form the start distribution.  The bottom strongly
+connected components, the absorbing structures, are then the cycles of the
+successor map, found by following successors from each state until a walk
+meets a state already seen.  A BSCC is reached with the start probability
+of the branches whose paths run into its cycle, and its steady state is
+uniform, since a deterministic cycle of k states spends 1/k of its time in
+each.  Each BSCC is classified by the joint actions it keeps firing.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def bottom_sccs(dtmc: Dtmc) -> list[Scc]:
     has visited; a walk that stops on its own path has closed a new cycle.
     O(n) and iterative, so deep chains do not exhaust the call stack.
     """
-    successor, _ = dtmc.functional_graph()
+    successor = dtmc.successor
     walk_of = [-1] * len(successor)
     cycles = []
     for start, target in enumerate(successor):
@@ -67,11 +67,7 @@ def bottom_sccs(dtmc: Dtmc) -> list[Scc]:
 
 def bscc_actions(dtmc: Dtmc, scc: Scc) -> set:
     """All joint actions fired with positive probability inside the BSCC."""
-    actions = set()
-    for sid in scc.members:
-        for action, _ in dtmc.state(sid).positive_actions():
-            actions.add(action)
-    return actions
+    return {dtmc.state(sid).pure_action for sid in scc.members} - {None}
 
 
 def reach_probabilities(dtmc: Dtmc, bsccs: list[Scc]) -> list[float]:
@@ -82,14 +78,14 @@ def reach_probabilities(dtmc: Dtmc, bsccs: list[Scc]) -> list[float]:
     Raises ``ValueError`` when a branch runs into a cycle missing from
     ``bsccs``.
     """
-    successor, start = dtmc.functional_graph()
+    successor = dtmc.successor
     unseen, on_path = -1, -2
     leads_to = [unseen] * len(successor)
     for k, scc in enumerate(bsccs):
         for sid in scc.members:
             leads_to[sid] = k
     probabilities = [0.0] * len(bsccs)
-    for target, probability in start:
+    for target, probability, _ in dtmc.start:
         path = []
         sid = target
         while leads_to[sid] == unseen:

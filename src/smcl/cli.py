@@ -148,6 +148,8 @@ def _cmd_simulate(args) -> int:
             raise ValueError(
                 f"--iterations must be at least 1, got {args.iterations}"
             )
+        if args.runs < 1:
+            raise ValueError(f"--runs must be at least 1, got {args.runs}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

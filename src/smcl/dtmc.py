@@ -1,18 +1,20 @@
 """State and chain types produced by the exploration of a learning run.
 
 Exploration builds a chain of one shape.  Only the initial state mixes: its
-``strategy`` is the first-step distribution over each player's actions.
-Every later state plays a pure best response, held in ``pure_action``, and
-has one successor.  Besides the learner parameters, a state keeps what the
-merge relation compares: its expected rewards, the generating parent, the
-joint action that led here, the parent's pure action and the per-player
-argmax of the expected-reward gain over the parent.
+``strategy`` is the first-step distribution over each player's actions, and
+its transitions are the chain's start distribution.  Every later state plays
+a pure best response, held in ``pure_action``, and has exactly one
+successor, so ``Dtmc`` stores the chain as that functional graph: one
+successor id per state plus the start distribution.  Besides the learner
+parameters, a state keeps what the merge relation compares: its expected
+rewards, the generating parent, the parent's pure action and, while
+exploration merges, the per-player argmax of the expected-reward gain over
+the parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +44,6 @@ class ExplorationState:
     learner: object | None
     depth: int
     parent_id: int | None = None
-    executed_from_parent: tuple[int, ...] | None = None
     expected_rewards: tuple[np.ndarray, ...] | None = None
     # Joint action executed here; None only for a mixed initial state.
     pure_action: tuple[int, ...] | None = None
@@ -50,7 +51,7 @@ class ExplorationState:
     # state, which are the only states with a mixed parent.
     predecessor_pure_action: tuple[int, ...] | None = None
     # Per player, argmax of (expected rewards here - at the predecessor);
-    # cached because the merge relation compares it for every candidate.
+    # set by ``explorer.merge_candidate``, only where the relation reads it.
     reward_gain_argmax: tuple[int, ...] | None = None
     is_sink: bool = False
     # The state's best-response future (``similarity.Future``) while the
@@ -65,8 +66,6 @@ class ExplorationState:
 
     def positive_actions(self, floor: float = 0.0):
         """Joint actions this state fires, with probabilities, flat order."""
-        if self.is_sink:
-            return []
         if self.pure_action is not None:
             return [(self.pure_action, 1.0)]
         out = []
@@ -107,20 +106,60 @@ class MergeEvent(NamedTuple):
 
 @dataclass
 class Dtmc:
-    """A finite chain over exploration states.
+    """The explored chain, stored as the functional graph exploration builds.
 
-    Transitions are stored one entry per fired joint action, so a source can
-    carry several entries to the same target; probabilities of a state's
-    entries sum to 1.  The optional sink absorbs truncated branches with a
-    self-loop of probability 1.
+    ``successor[sid]`` is the one state that ``sid`` moves to.  The initial
+    state's transitions, after ``prob_floor``, are ``start``.  When it has
+    several, the initial state branches: its ``successor`` is -1 and nothing
+    re-enters it.  Otherwise it is an ordinary node and ``start`` is its one
+    transition, to its successor.  The optional sink absorbs truncated
+    branches with a self-loop.
     """
 
     states: list[ExplorationState]
-    transitions: dict[int, list[Transition]]
+    successor: list[int]
+    start: list[Transition]
     initial_id: int = 0
     sink_id: int | None = None
     truncated: bool = False
     merge_events: list[MergeEvent] = field(default_factory=list)
+
+    def __post_init__(self):
+        n, root, successor = len(self.states), self.initial_id, self.successor
+        if len(successor) != n:
+            raise ValueError(
+                f"state {min(n, len(successor))}: {len(successor)} "
+                f"successors for {n} states"
+            )
+        # Every state but the initial one moves to a state.
+        rest = successor[:root] + successor[root + 1:]
+        if rest and not (0 <= min(rest) and max(rest) < n):
+            bad = min(rest) if min(rest) < 0 else max(rest)
+            sid = rest.index(bad)
+            raise ValueError(
+                f"state {sid + (sid >= root)}: successor {bad} is not a state"
+            )
+        targets = [t.target for t in self.start]
+        if not targets:
+            raise ValueError(f"state {root} has no transitions")
+        if not (0 <= min(targets) and max(targets) < n):
+            raise ValueError(f"state {root}: a start target is not a state")
+        total = sum(t.probability for t in self.start)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(
+                f"state {root}: transition probabilities sum to {total!r}"
+            )
+        if successor[root] == -1:
+            if root in rest or root in targets:
+                raise ValueError(
+                    f"state {root}: the initial state branches and is "
+                    f"re-entered"
+                )
+        elif targets != [successor[root]]:
+            raise ValueError(
+                f"state {root}: the initial state does not branch, so start "
+                f"must be its one transition, to state {successor[root]}"
+            )
 
     @property
     def num_states(self) -> int:
@@ -130,67 +169,13 @@ class Dtmc:
         return self.states[state_id]
 
     def out(self, state_id: int) -> list[Transition]:
-        return self.transitions.get(state_id, [])
+        """The initial state's ``start``, or a state's one transition."""
+        if state_id == self.initial_id:
+            return self.start
+        target = self.successor[state_id]
+        action = None if target == self.sink_id \
+            else self.states[state_id].pure_action
+        return [Transition(target, 1.0, action)]
 
     def out_probability_sum(self, state_id: int) -> float:
         return sum(t.probability for t in self.out(state_id))
-
-    def successors(self, state_id: int) -> list[int]:
-        seen = []
-        for t in self.out(state_id):
-            if t.probability > 0 and t.target not in seen:
-                seen.append(t.target)
-        return seen
-
-    def functional_graph(self) -> tuple[list[int], list[tuple[int, float]]]:
-        """The chain as one successor per state plus a start distribution.
-
-        This is the shape exploration builds: only the initial state fires
-        several joint actions (its first-iteration smooth best response),
-        every later state is pure and has a single transition, and the
-        initial state never joins a merge bucket, so nothing re-enters it.
-
-        Returns ``(successor, start)``.  ``successor[sid]`` is the target of
-        each state's transition, or -1 for an initial state that branches;
-        ``start`` lists that initial state's transitions as ``(target,
-        probability)`` pairs.  An initial state with a single transition is
-        an ordinary node of the graph and ``start`` is ``[(initial_id,
-        1.0)]``.  Raises ``ValueError`` naming the first state that has no
-        transitions, that branches without being the initial state, or
-        whose probabilities do not sum to 1 within 1e-9; for a branching
-        initial state, it names the initial state when something re-enters
-        it.
-
-        The result is computed once per chain, which is not modified after
-        exploration, so the analysis passes share one validation.
-        """
-        return self._functional_graph
-
-    @cached_property
-    def _functional_graph(self):
-        root = self.initial_id
-        successor = [0] * self.num_states
-        for sid in range(self.num_states):
-            out = self.out(sid)
-            if not out:
-                raise ValueError(f"state {sid} has no transitions")
-            if len(out) > 1 and sid != root:
-                raise ValueError(
-                    f"state {sid} has {len(out)} transitions; only the "
-                    f"initial state may branch"
-                )
-            total = sum(t.probability for t in out)
-            if not abs(total - 1.0) <= 1e-9:
-                raise ValueError(
-                    f"state {sid}: transition probabilities sum to {total!r}"
-                )
-            successor[sid] = out[0].target
-        root_out = self.out(root)
-        if len(root_out) == 1:
-            return successor, [(root, 1.0)]
-        successor[root] = -1
-        if any(t.target == root for t in root_out) or root in successor:
-            raise ValueError(
-                f"state {root}: the initial state branches and is re-entered"
-            )
-        return successor, [(t.target, t.probability) for t in root_out]

@@ -2,11 +2,14 @@
 
 Exploration starts from the initial learner state, whose strategy uses the
 smooth best response with temperature ``tau0`` (the one probabilistic step);
-every later state plays deterministic best responses.  Each positive-
-probability joint action of a dequeued state yields a candidate successor,
-which is either folded into an earlier state accepted by the merge relation
-or appended and enqueued.  When the depth bound is hit with work remaining,
-the open frontier is redirected into an absorbing sink state.
+every later state plays deterministic best responses.  A BFS level lists
+``(source id, joint action, probability)`` steps: first the initial state's
+positive-probability joint actions, then one step from each state adopted
+on the level before, in adoption order.  Each step's candidate is either
+folded into an earlier state accepted by the merge relation or adopted, and
+its target becomes the source's successor, or a start transition of the
+initial state.  When the depth bound is hit with work remaining, the open
+frontier is redirected into an absorbing sink state.
 
 Where a candidate may merge is kept in a merge index:
 
@@ -36,7 +39,6 @@ Where a candidate may merge is kept in a merge index:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -81,6 +83,8 @@ class ExploreConfig:
             raise ValueError("tau0 must be positive")
         if not 0.0 <= self.prob_floor < 1.0:
             raise ValueError("prob_floor must be in [0, 1)")
+        if self.state_cap < 1:
+            raise ValueError("state_cap must be at least 1")
 
 
 def successor(
@@ -107,12 +111,21 @@ def successor(
         learner=learner,
         depth=state.depth + 1,
         parent_id=state.id,
-        executed_from_parent=action,
         expected_rewards=rewards,
         pure_action=choice,
         predecessor_pure_action=state.pure_action,
-        reward_gain_argmax=reward_gain_argmax(rewards, state.expected_rewards),
     )
+
+
+def merge_candidate(
+    state: ExplorationState, action, game: Game
+) -> ExplorationState:
+    """``successor()`` plus the reward-gain argmax the merge relation reads."""
+    candidate = successor(state, action, game)
+    candidate.reward_gain_argmax = reward_gain_argmax(
+        candidate.expected_rewards, state.expected_rewards
+    )
+    return candidate
 
 
 def _initial_state(game: Game, learner, tau0: float) -> ExplorationState:
@@ -335,82 +348,82 @@ class _MergeIndex:
 
 
 def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
-    """Build the chain of reachable learning states breadth first."""
+    """Build the chain of reachable learning states, level by level."""
     if not learners.matches(initial_learner, game):
         raise ValueError(
             "learner state does not match the game's action counts"
         )
-    states = [_initial_state(game, initial_learner, cfg.tau0)]
+    root = _initial_state(game, initial_learner, cfg.tau0)
+    states = [root]
     index = ctx = None
     if cfg.merge_enabled:
         index = _MergeIndex(game, states.__getitem__)
         ctx = SimilarityContext(
             game=game, algorithm=initial_learner.algorithm, path=index.path
         )
-    transitions: dict[int, list[Transition]] = {}
+    first = root.positive_actions(cfg.prob_floor)
+    total = sum(p for _, p in first)
+    if cfg.prob_floor > 0 and first and total < 1.0:
+        first = [(action, p / total) for action, p in first]
+    level = [(0, action, p) for action, p in first]
+    successor_ids = [-1]
+    start: list[Transition] = []
     merge_events: list[MergeEvent] = []
-
-    queue1 = deque([0])
-    queue2: deque[int] = deque()
     depth = 0
-    truncated = False
     sink_id = None
 
-    while queue1:
-        while queue1:
-            sid = queue1.popleft()
+    while level:
+        adopted = []
+        for sid, action, prob in level:
             state = states[sid]
-            out: list[Transition] = []
-            for action, prob in state.positive_actions(cfg.prob_floor):
+            target = None
+            if index is None:
                 candidate = successor(state, action, game)
-                target = None
+            else:
+                candidate = merge_candidate(state, action, game)
+                candidate.future = Future(candidate, game)
+                for tid, distance in index.survivors(candidate, ctx):
+                    if similar(states[tid], candidate, ctx,
+                               distance=distance):
+                        target = tid
+                        merge_events.append(MergeEvent(sid, action, tid))
+                        candidate.future = None
+                        break
+            if target is None:
+                target = len(states)
+                if target + 1 > cfg.state_cap:
+                    raise StateBudgetError(target + 1, cfg.state_cap)
+                candidate.id = target
+                states.append(candidate)
+                successor_ids.append(-1)
                 if index is not None:
-                    candidate.future = Future(candidate, game)
-                    for tid, distance in index.survivors(candidate, ctx):
-                        if similar(states[tid], candidate, ctx,
-                                   distance=distance):
-                            target = tid
-                            merge_events.append(MergeEvent(sid, action, tid))
-                            candidate.future = None
-                            break
-                if target is None:
-                    target = len(states)
-                    if target + 1 > cfg.state_cap:
-                        raise StateBudgetError(target + 1, cfg.state_cap)
-                    candidate.id = target
-                    states.append(candidate)
-                    if index is not None:
-                        index.add(candidate)
-                        # Keep only the step successor() will reuse.
-                        del candidate.future.steps[2:]
-                    queue2.append(target)
-                out.append(Transition(target, prob, action))
-            state.future = None
-            if cfg.prob_floor > 0:
-                total = sum(t.probability for t in out)
-                if out and total < 1.0:
-                    out = [
-                        Transition(t.target, t.probability / total, t.action)
-                        for t in out
-                    ]
-            transitions[sid] = out
-        queue1, queue2 = queue2, deque()
+                    index.add(candidate)
+                    # Keep only the step successor() will reuse.
+                    del candidate.future.steps[2:]
+                adopted.append((target, candidate.pure_action, 1.0))
+            if sid == 0:
+                start.append(Transition(target, prob, action))
+            else:
+                successor_ids[sid] = target
+                state.future = None
+        level = adopted
         depth += 1
-        if depth >= cfg.max_depth and queue1:
+        if depth >= cfg.max_depth and level:
             sink_id = len(states)
             states.append(ExplorationState.sink(sink_id, depth))
-            transitions[sink_id] = [Transition(sink_id, 1.0, None)]
-            for sid in queue1:
-                transitions[sid] = [Transition(sink_id, 1.0, None)]
+            successor_ids.append(sink_id)
+            for sid, _, _ in level:
+                successor_ids[sid] = sink_id
                 states[sid].future = None
-            truncated = True
             break
 
+    if len(start) == 1:
+        successor_ids[0] = start[0].target
     return Dtmc(
         states=states,
-        transitions=transitions,
-        initial_id=0,
+        successor=successor_ids,
+        start=start,
         sink_id=sink_id,
-        truncated=truncated,
+        truncated=sink_id is not None,
         merge_events=merge_events,
     )

@@ -3,9 +3,11 @@
 General-graph algorithms that make no use of the shape exploration builds:
 iterative Tarjan for the strongly connected components, a dense linear
 solve for the absorption probabilities and a least-squares solve for the
-stationary distribution.  The package's cycle-following analysis must agree
-with them on every chain it accepts; the random-digraph tests use them
-directly.
+stationary distribution.  They read a chain through ``num_states``,
+``initial_id`` and ``out()`` only, so they take an explored ``Dtmc`` as well
+as a ``Digraph``, the general chain that exploration never builds.  The
+package's cycle-following analysis must agree with them on every chain it
+accepts; the random-digraph tests use them directly.
 """
 
 from __future__ import annotations
@@ -13,6 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from smcl.dtmc import Transition
+
+
+class Digraph:
+    """A finite chain with any number of transitions per state."""
+
+    def __init__(self, edges, num_states: int, initial_id: int = 0):
+        self.num_states = num_states
+        self.initial_id = initial_id
+        self._out = [[] for _ in range(num_states)]
+        for src, dst, prob in edges:
+            self._out[src].append(Transition(dst, prob, None))
+
+    def out(self, state_id: int) -> list[Transition]:
+        return self._out[state_id]
 
 
 @dataclass(frozen=True)
@@ -28,7 +46,11 @@ def tarjan_sccs(dtmc) -> list[Scc]:
     The result is sorted by smallest member id.
     """
     n = dtmc.num_states
-    adjacency = [dtmc.successors(sid) for sid in range(n)]
+    adjacency = [
+        list(dict.fromkeys(t.target for t in dtmc.out(sid)
+                           if t.probability > 0))
+        for sid in range(n)
+    ]
 
     index = [-1] * n
     lowlink = [0] * n

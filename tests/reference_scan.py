@@ -5,6 +5,9 @@ distances and paths come from walking the candidate's parent links, and
 ``similar()`` is asked about every bucket entry, newest first.  No future
 is shared and no entry is skipped, so the chain this builds is what the
 relation alone defines; the indexed explorer must reproduce it exactly.
+The scan keeps every state's transitions as a list of its own, the general
+form, so the explorer's functional graph is checked against it state by
+state.
 
 With ``index_check`` set, a ``_MergeIndex`` is kept alongside and, for every
 candidate, every entry ``similar()`` accepts must be among the index's
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from smcl.dtmc import Dtmc, ExplorationState, MergeEvent, Transition
-from smcl.explorer import _initial_state, _MergeIndex, successor
+from smcl.explorer import _initial_state, _MergeIndex, merge_candidate
 from smcl.similarity import DEFAULT_TOL, Future, SimilarityContext, similar
 
 
@@ -48,9 +51,9 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
                       tol=DEFAULT_TOL):
     """The explorer's chain, built by a full newest-first bucket scan.
 
-    ``tol`` is the relation's tolerance.  Returns the chain and, with
-    ``index_check``, the number of (candidate, entry) pairs the index
-    filtered out.
+    ``tol`` is the relation's tolerance.  Returns the chain, its per-state
+    transition lists and, with ``index_check``, the number of (candidate,
+    entry) pairs the index filtered out.
     """
     states = [_initial_state(game, initial_learner, cfg.tau0)]
     ctx = SimilarityContext(
@@ -76,7 +79,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
             state = states[sid]
             out: list[Transition] = []
             for action, prob in state.positive_actions(cfg.prob_floor):
-                candidate = successor(state, action, game)
+                candidate = merge_candidate(state, action, game)
                 target = None
                 if cfg.merge_enabled:
                     distances = ancestor_distances(candidate, states)
@@ -124,15 +127,20 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
             truncated = True
             break
 
+    start = transitions[0]
+    successor = [out[0].target for _, out in sorted(transitions.items())]
+    if len(start) > 1:
+        successor[0] = -1
     dtmc = Dtmc(
         states=states,
-        transitions=transitions,
+        successor=successor,
+        start=start,
         initial_id=0,
         sink_id=sink_id,
         truncated=truncated,
         merge_events=merge_events,
     )
-    return dtmc, filtered
+    return dtmc, transitions, filtered
 
 
 def _check_survivors(index, ctx, candidate, accepted, distances) -> int:

@@ -34,7 +34,7 @@ from smcl import (
 )
 from smcl.learners import ordered_pairs
 
-from reference_analysis import tarjan_sccs
+from reference_analysis import Digraph, tarjan_sccs
 from reference_matrix import reference_reward_table
 
 ALGOS = [("fp", {}), ("gfp", {"alpha": 0.2}), ("afffp", {"lambda0": 0.8})]
@@ -259,28 +259,18 @@ class TestCriterion6PropertySuites:
                 "rank among unobserved actions preserved, 1e3 updates")
 
     def test_scc_partition_against_brute_force(self):
-        from smcl.dtmc import Dtmc, ExplorationState, Transition
-
         rng = np.random.default_rng(6003)
         for _ in range(1000):
             n = int(rng.integers(2, 51))
-            states = [
-                ExplorationState(id=i, strategy=None, learner=None, depth=0)
-                for i in range(n)
-            ]
-            transitions = {}
+            edges = []
             for src in range(n):
                 targets = rng.integers(0, n, size=int(rng.integers(1, 4)))
-                transitions[src] = [
-                    Transition(int(t), 1.0 / len(targets), None)
-                    for t in targets
-                ]
-            dtmc = Dtmc(states=states, transitions=transitions)
+                edges += [(src, int(t), 1.0 / len(targets)) for t in targets]
+            dtmc = Digraph(edges, n)
 
             reach = np.eye(n, dtype=bool)
-            for src, out in transitions.items():
-                for t in out:
-                    reach[src, t.target] = True
+            for src, dst, _ in edges:
+                reach[src, dst] = True
             while True:
                 updated = reach | (reach @ reach)
                 if (updated == reach).all():

@@ -34,16 +34,31 @@ from reference_analysis import tarjan_sccs
 NASH_SPLIT = 0.17960065808013714  # 2 x (1 - x), x = 1/(1 + exp(-2.2))
 
 
-def graph_dtmc(edges, num_states, initial=0):
-    """Stub chain from (src, dst, prob) triples; states carry no learner."""
-    states = [
+def stub_states(num_states):
+    return [
         ExplorationState(id=i, strategy=None, learner=None, depth=0)
         for i in range(num_states)
     ]
-    transitions = {}
+
+
+def graph_dtmc(edges, num_states, initial=0):
+    """Stub chain from (src, dst, prob) triples; states carry no learner.
+
+    The initial state's edges are the start distribution; every other state
+    takes one edge of probability 1, and a state without one keeps -1.
+    """
+    successor = [-1] * num_states
+    start = []
     for src, dst, prob in edges:
-        transitions.setdefault(src, []).append(Transition(dst, prob, None))
-    return Dtmc(states=states, transitions=transitions, initial_id=initial)
+        if src == initial:
+            start.append(Transition(dst, prob, None))
+        else:
+            assert successor[src] == -1 and prob == 1.0, (src, dst, prob)
+            successor[src] = dst
+    if len(start) == 1:
+        successor[initial] = start[0].target
+    return Dtmc(states=stub_states(num_states), successor=successor,
+                start=start, initial_id=initial)
 
 
 def coordination_dtmc(simple_game, toy_weights, algo="fp", **kw):
@@ -62,7 +77,7 @@ def random_stochastic_graph(rng, n):
         probs = probs / probs.sum()
         for dst, p in zip(targets, probs):
             edges.append((src, int(dst), float(p)))
-    return graph_dtmc(edges, n)
+    return ref.Digraph(edges, n)
 
 
 def brute_force_sccs(dtmc):
@@ -89,7 +104,7 @@ def brute_force_sccs(dtmc):
 
 class TestTarjan:
     def test_chain_with_terminal_self_loop(self):
-        dtmc = graph_dtmc(
+        dtmc = ref.Digraph(
             [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)], num_states=3
         )
         sccs = tarjan_sccs(dtmc)
@@ -99,7 +114,7 @@ class TestTarjan:
         assert bottoms[0].members == frozenset({2})
 
     def test_two_cycle_is_single_bottom_component(self):
-        dtmc = graph_dtmc([(0, 1, 1.0), (1, 0, 1.0)], num_states=2)
+        dtmc = ref.Digraph([(0, 1, 1.0), (1, 0, 1.0)], num_states=2)
         sccs = tarjan_sccs(dtmc)
         assert len(sccs) == 1
         assert sccs[0].is_bottom
@@ -135,7 +150,7 @@ class TestTarjan:
         n = 30_000
         edges = [(i, i + 1, 1.0) for i in range(n - 1)]
         edges.append((n - 1, n - 1, 1.0))
-        dtmc = graph_dtmc(edges, num_states=n)
+        dtmc = ref.Digraph(edges, num_states=n)
         sccs = tarjan_sccs(dtmc)
         assert len(sccs) == n
 
@@ -213,7 +228,7 @@ class TestSteadyState:
 
     def test_biased_two_state_chain(self):
         # stationary distribution of a proper stochastic 2-state chain
-        dtmc = graph_dtmc(
+        dtmc = ref.Digraph(
             [(0, 0, 0.6), (0, 1, 0.4), (1, 0, 0.2), (1, 1, 0.8)],
             num_states=2,
         )
@@ -300,8 +315,7 @@ class TestClassification:
         for state in dtmc.states:
             if state.is_sink or state.pure_action is None:
                 continue
-            succs = dtmc.successors(state.id)
-            fixed_point = succs == [state.id]
+            fixed_point = dtmc.successor[state.id] == state.id
             if fixed_point and is_pure_nash(simple_game, state.pure_action):
                 assert state.id in bottom_ids
 
@@ -408,37 +422,51 @@ class TestAgainstReference:
 
 
 class TestChainShape:
-    """``Dtmc.functional_graph`` rejects chains exploration cannot build."""
+    """``Dtmc`` rejects chains that are not exploration's functional graph."""
+
+    def test_successor_count_differs_from_state_count(self):
+        with pytest.raises(ValueError, match="state 2: 2 successors for 3"):
+            Dtmc(states=stub_states(3), successor=[1, 2],
+                 start=[Transition(1, 1.0, None)])
 
     def test_state_without_transitions(self):
-        dtmc = graph_dtmc([(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0)], 3)
-        with pytest.raises(ValueError, match="state 2 has no transitions"):
-            bottom_sccs(dtmc)
+        with pytest.raises(ValueError,
+                           match="state 2: successor -1 is not a state"):
+            graph_dtmc([(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0)], 3)
 
-    def test_branching_non_initial_state(self):
-        dtmc = graph_dtmc(
-            [(0, 1, 1.0), (1, 1, 0.5), (1, 2, 0.5), (2, 2, 1.0)], 3
-        )
-        with pytest.raises(ValueError, match="state 1 has 2 transitions"):
-            bottom_sccs(dtmc)
+    def test_successor_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match="state 1: successor 3 is not a state"):
+            graph_dtmc([(0, 1, 1.0), (1, 3, 1.0), (2, 2, 1.0)], 3)
+
+    def test_initial_state_without_transitions(self):
+        with pytest.raises(ValueError, match="state 0 has no transitions"):
+            graph_dtmc([(1, 1, 1.0)], 2)
+
+    def test_start_target_out_of_range(self):
+        with pytest.raises(ValueError, match="state 0: a start target"):
+            graph_dtmc([(0, 1, 0.5), (0, 4, 0.5), (1, 1, 1.0)], 2)
 
     def test_row_not_summing_to_one(self):
-        dtmc = graph_dtmc([(0, 1, 0.5), (0, 2, 0.4), (1, 1, 1.0),
-                           (2, 2, 1.0)], 3)
         with pytest.raises(ValueError, match="state 0: transition"):
-            reach_probabilities(dtmc, [])
+            graph_dtmc([(0, 1, 0.5), (0, 2, 0.4), (1, 1, 1.0),
+                        (2, 2, 1.0)], 3)
 
     def test_nan_probability(self):
-        dtmc = graph_dtmc([(0, 1, 1.0), (1, 1, float("nan"))], 2)
-        with pytest.raises(ValueError, match="state 1: transition"):
-            bottom_sccs(dtmc)
+        with pytest.raises(ValueError, match="state 0: transition"):
+            graph_dtmc([(0, 1, float("nan")), (1, 1, 1.0)], 2)
 
     def test_branching_initial_state_re_entered(self):
-        dtmc = graph_dtmc(
-            [(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0), (2, 0, 1.0)], 3
-        )
         with pytest.raises(ValueError, match="state 0: the initial state"):
-            bottom_sccs(dtmc)
+            graph_dtmc(
+                [(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0), (2, 0, 1.0)], 3
+            )
+
+    def test_start_of_a_non_branching_initial_state(self):
+        with pytest.raises(ValueError, match="state 0: the initial state "
+                                             "does not branch"):
+            Dtmc(states=stub_states(3), successor=[2, 1, 2],
+                 start=[Transition(1, 1.0, None)])
 
     def test_pure_initial_state_may_lie_on_a_cycle(self):
         dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3)
@@ -457,26 +485,25 @@ class TestChainShape:
         # Every tau0 = 1 first-step probability lies below the floor, so the
         # initial state keeps no transition; this must not read as a cycle.
         learner = initial_state("fp", simple_game, toy_weights)
-        dtmc = explore(simple_game, learner,
-                       ExploreConfig(tau0=1.0, prob_floor=0.3))
         with pytest.raises(ValueError, match="state 0 has no transitions"):
-            analyze(simple_game, dtmc)
+            explore(simple_game, learner,
+                    ExploreConfig(tau0=1.0, prob_floor=0.3))
 
 
-def test_analyze_validates_the_chain_once(simple_game, toy_weights,
-                                          monkeypatch):
-    # Validation reads every state's transitions once; bottom_sccs and
-    # reach_probabilities share its result.
+def test_analyze_reads_no_transition_lists(simple_game, toy_weights,
+                                           monkeypatch):
+    # The analysis reads the successor map and the start distribution; it
+    # never builds a state's transition list.
     dtmc = coordination_dtmc(simple_game, toy_weights)
-    out, calls = dtmc.out, []
+    calls = []
 
     def counting(sid):
         calls.append(sid)
-        return out(sid)
+        return Dtmc.out(dtmc, sid)
 
     monkeypatch.setattr(dtmc, "out", counting)
-    analyze(simple_game, dtmc)
-    assert len(calls) == dtmc.num_states + 1
+    report = analyze(simple_game, dtmc)
+    assert report.bsccs and not calls
 
 
 def test_import_does_not_load_scipy():

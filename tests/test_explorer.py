@@ -150,7 +150,7 @@ class TestExploreStructure:
         one = exploration(simple_game, fp_learner(simple_game, toy_weights))
         two = exploration(simple_game, fp_learner(simple_game, toy_weights))
         assert one.num_states == two.num_states
-        assert one.transitions == two.transitions
+        assert (one.successor, one.start) == (two.successor, two.start)
         for a, b in zip(one.states, two.states):
             assert a.pure_action == b.pure_action
             assert a.depth == b.depth
@@ -240,6 +240,12 @@ class TestExploreLimits:
             ExploreConfig(tau0=0.0)
         with pytest.raises(ValueError):
             ExploreConfig(prob_floor=-0.1)
+
+    def test_state_cap_below_one_rejected(self):
+        for cap in (0, -3):
+            with pytest.raises(ValueError,
+                               match="state_cap must be at least 1"):
+                ExploreConfig(state_cap=cap)
 
     @pytest.mark.parametrize(
         "floor", [math.nan, math.inf, -math.inf, 1.0, 2.0]

