@@ -82,6 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy seeds from non-negative integers only
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _load_weights(args, game):
     if getattr(args, "weights", None):
         return parse_weights(args.weights, game)
@@ -104,6 +109,7 @@ def _cmd_check(args) -> int:
             prob_floor=args.prob_floor,
         )
         config.explore_config()
+        _check_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -150,6 +156,7 @@ def _cmd_simulate(args) -> int:
             )
         if args.runs < 1:
             raise ValueError(f"--runs must be at least 1, got {args.runs}")
+        _check_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -179,9 +186,12 @@ def _cmd_catalog(args) -> int:
     elif args.name == "shapley":
         game = catalog.shapley()
     else:
-        game = catalog.complex_coordination(
-            catalog.ComplexGameParams(n=args.n, delta=args.delta)
-        )
+        try:
+            params = catalog.ComplexGameParams(n=args.n, delta=args.delta)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        game = catalog.complex_coordination(params)
     write_game(game, args.out, comment=f"catalog game: {args.name}")
     print(f"{args.name} written to {args.out}")
     return 0
@@ -195,10 +205,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_catalog(args)
-    except GameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GameFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

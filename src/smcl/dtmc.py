@@ -113,7 +113,8 @@ class Dtmc:
     several, the initial state branches: its ``successor`` is -1 and nothing
     re-enters it.  Otherwise it is an ordinary node and ``start`` is its one
     transition, to its successor.  The optional sink absorbs truncated
-    branches with a self-loop.
+    branches with a self-loop; the chain is truncated exactly when it has
+    one.
     """
 
     states: list[ExplorationState]
@@ -121,7 +122,6 @@ class Dtmc:
     start: list[Transition]
     initial_id: int = 0
     sink_id: int | None = None
-    truncated: bool = False
     merge_events: list[MergeEvent] = field(default_factory=list)
 
     def __post_init__(self):
@@ -160,6 +160,15 @@ class Dtmc:
                 f"state {root}: the initial state does not branch, so start "
                 f"must be its one transition, to state {successor[root]}"
             )
+        sink = self.sink_id
+        if sink is not None and (sink not in range(n)
+                                 or successor[sink] != sink):
+            raise ValueError(f"state {sink}: the sink is not a self-loop")
+
+    @property
+    def truncated(self) -> bool:
+        """Whether exploration hit its depth bound and made a sink."""
+        return self.sink_id is not None
 
     @property
     def num_states(self) -> int:

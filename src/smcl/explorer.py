@@ -21,15 +21,15 @@ Where a candidate may merge is kept in a merge index:
   one path per first-step branch.  An entry on the candidate's branch is an
   ancestor at distance ``candidate.depth - entry.depth``; any other entry
   has no path.  A path replay's chain is a slice of the branch.
-* **A pre-filter** tests a whole bucket at once, with array operations over
-  the entries' stacked expected rewards, against the preconditions of
-  ``similar()``: the shared-prefix guard, the parent's executed reward, the
-  no-path predecessor and reward-direction checks, and the first step of a
-  path replay.  Each test uses the scalar code's float expressions, so it
-  may pass an entry that ``similar()`` then rejects but never rejects one
-  it would accept.  Small buckets skip it.  The survivors go to
-  ``similar()``, newest first, and the first acceptance wins, exactly as a
-  scan of the whole bucket would decide.
+* **A pre-filter** tests a whole bucket at once against the preconditions
+  of ``similar()``: the shared-prefix guard, the parent's executed reward,
+  the no-path predecessor and reward-direction checks, and the first step
+  of a path replay.  The reward tests are the relation's own guards from
+  ``similarity``, applied to the stacked reward rows of the bucket's
+  entries, so the pre-filter rules out only entries that ``similar()``
+  rejects.  Small buckets skip it.  The survivors go to ``similar()``,
+  newest first, and the first acceptance wins, exactly as a scan of the
+  whole bucket would decide.
 * **One future per candidate** (``similarity.Future``): path replays from
   the candidate and its side of a lockstep replay follow the candidate's
   own best-response trajectory, so all merge attempts share one lazily
@@ -54,7 +54,9 @@ from .dtmc import (
     reward_gain_argmax,
 )
 from .game import Game, smooth_best_response
-from .similarity import Future, SimilarityContext, similar
+from .similarity import Future, SimilarityContext, reward_row, similar
+from .similarity import (disjoint_direction_holds, executed_reward_kept,
+                         moved_against, prefix_guard_holds)
 
 
 class StateBudgetError(RuntimeError):
@@ -166,59 +168,15 @@ class _Rows:
         self.size += 1
 
 
-# Integer columns of a bucket row; its floats are the entry's expected
-# rewards, all players concatenated.  A branch row holds a state's id and
-# action code, with the same floats.
+# Integer columns of a bucket row; its floats are the entry's reward row
+# (``similarity.reward_row``).  A branch row holds a state's id and action
+# code, with the same floats.
 _ID, _DEPTH, _BRANCH, _PREDECESSOR = range(4)
 _ACTION = 1
 
 # Buckets of at most this many entries go to similar() whole: for them the
-# per-entry scalar checks cost less than the fixed cost of the array tests.
+# per-entry tests cost less than the fixed cost of the bucket-wide ones.
 _SMALL_BUCKET = 4
-
-
-def _direction(ctx: SimilarityContext) -> float:
-    # +1: the step action's reward must not rise (fp damps); -1: it must
-    # not drop (the discounted variants strengthen).
-    return 1.0 if ctx.algorithm == "fp" else -1.0
-
-
-class _KeyColumns:
-    """Column sets of one bucket key for the array tests."""
-
-    __slots__ = ("executed", "guard", "guard_ref", "sign")
-
-    def __init__(self, index: "_MergeIndex", ctx: SimilarityContext,
-                 action: tuple[int, ...]):
-        offsets = index.offsets
-        self.executed = np.add(offsets, action)
-        # Shared-prefix guard: each unplayed action of a player whose played
-        # action is not yet the best raw reply, next to the played one.
-        guard, guard_ref = [], []
-        for i, a in enumerate(action):
-            if not ctx.best_raw_reply[i][action]:
-                for b in range(ctx.game.action_counts[i]):
-                    if b != a:
-                        guard.append(offsets[i] + b)
-                        guard_ref.append(offsets[i] + a)
-        self.guard = np.array(guard, dtype=np.int64)
-        self.guard_ref = np.array(guard_ref, dtype=np.int64)
-        # Disjoint-branch reward direction as one test, sign * r2 <= sign *
-        # r1 + tol: under fp the played action's reward must not rise and
-        # no other may drop, under the discounted variants the reverse.
-        direction = _direction(ctx)
-        self.sign = np.full(index.width, -direction)
-        self.sign[self.executed] = direction
-
-
-class _Bucket(_Rows):
-    """The entries sharing one (pure action, reward-gain argmax) key."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, width: int):
-        super().__init__(4, width)
-        self.columns: _KeyColumns | None = None
 
 
 class _MergeIndex:
@@ -227,11 +185,10 @@ class _MergeIndex:
     def __init__(self, game: Game, get_state):
         counts = game.action_counts
         self.get_state = get_state
-        self.offsets = list(accumulate(counts[:-1], initial=0))
         self.width = sum(counts)
         self.strides = list(accumulate(counts[:0:-1], lambda a, b: a * b,
                                        initial=1))[::-1]
-        self.buckets: dict[tuple, _Bucket] = {}
+        self.buckets: dict[tuple, _Rows] = {}  # key -> its entries
         self.branch_of: dict[int, int] = {}   # state id -> branch id
         self.branches: dict[int, _Rows] = {}  # branch id -> its states
 
@@ -245,7 +202,7 @@ class _MergeIndex:
         """Register an adopted non-initial state."""
         branch = self.branch_of.get(state.parent_id, state.id)
         self.branch_of[state.id] = branch
-        rewards = np.concatenate(state.expected_rewards)
+        rewards = reward_row(state.expected_rewards)
         rows = self.branches.get(branch)
         if rows is None:
             rows = self.branches[branch] = _Rows(2, self.width)
@@ -253,7 +210,7 @@ class _MergeIndex:
         key = (state.pure_action, state.reward_gain_argmax)
         bucket = self.buckets.get(key)
         if bucket is None:
-            bucket = self.buckets[key] = _Bucket(self.width)
+            bucket = self.buckets[key] = _Rows(4, self.width)
         bucket.append(
             (state.id, state.depth, branch,
              self.code(state.predecessor_pure_action)),
@@ -280,70 +237,55 @@ class _MergeIndex:
         branch = self.branch_of.get(candidate.parent_id, -1)
         n = bucket.size
         ints = bucket.ints[:n]
-        if n <= _SMALL_BUCKET:
-            return [
-                (tid, candidate.depth - depth if b == branch else None)
-                for tid, depth, b, _ in reversed(ints.tolist())
-            ]
-        columns = bucket.columns
-        if columns is None:
-            columns = bucket.columns = _KeyColumns(
-                self, ctx, candidate.pure_action
+        if n > _SMALL_BUCKET:
+            columns = ctx.columns(candidate.pure_action)
+            r1 = bucket.floats[:n]
+            r2 = reward_row(candidate.expected_rewards)
+            on_path = ints[:, _BRANCH] == branch
+            same_predecessor = ints[:, _PREDECESSOR] == self.code(
+                candidate.predecessor_pure_action
             )
-        r1 = bucket.floats[:n]
-        r2 = np.concatenate(candidate.expected_rewards)
-        tol = ctx.tol
-        on_path = ints[:, _BRANCH] == branch
-        same_predecessor = ints[:, _PREDECESSOR] == self.code(
-            candidate.predecessor_pure_action
-        )
-        # No path: equal predecessor actions and the reward direction.
-        keep = on_path | (
-            same_predecessor
-            & (columns.sign * r2 <= r1 * columns.sign + tol).all(axis=1)
-        )
-        # Shared-prefix guard, when both predecessors played the key action.
-        if (columns.guard.size
-                and candidate.predecessor_pure_action
-                == candidate.pure_action):
-            gain = r2 - r1
-            keep &= ~same_predecessor | ~(
-                gain[:, columns.guard] > gain[:, columns.guard_ref] + tol
-            ).any(axis=1)
-        path = np.flatnonzero(on_path & keep)
-        if path.size:
-            keep[path] = self._path_checks(
-                candidate, ctx, columns, ints[path, _DEPTH], r1[path], r2
-            )
+            # No path: equal predecessor actions and the reward direction.
+            keep = on_path | (same_predecessor & disjoint_direction_holds(
+                r1, r2, columns, ctx.tol
+            ))
+            # Shared-prefix guard: both predecessors played the key action.
+            if (candidate.predecessor_pure_action == candidate.pure_action
+                    and columns.prefix[0].size):
+                keep &= ~same_predecessor | prefix_guard_holds(
+                    r1, r2, columns, ctx.tol
+                )
+            path = np.flatnonzero(on_path & keep)
+            if path.size:
+                keep[path] = self._path_checks(
+                    candidate, ctx, columns, ints[path, _DEPTH], r1[path], r2
+                )
+            ints = ints[keep]
         return [
             (tid, candidate.depth - depth if b == branch else None)
-            for tid, depth, b, _ in reversed(ints[keep].tolist())
+            for tid, depth, b, _ in reversed(ints.tolist())
         ]
 
     def _path_checks(self, candidate, ctx, columns, depth, r1, r2):
-        """The array tests for ancestors, given in depth order."""
-        tol = ctx.tol
+        """The bucket-wide tests for ancestors, given in depth order."""
         ok = np.ones(len(depth), dtype=bool)
         longer = len(depth)
         if depth[-1] == candidate.depth - 1:
-            # Distance 1, the parent: executed reward not dropped.
+            # Distance 1, the parent.
             longer -= 1
-            ex = columns.executed
-            ok[-1] = not (r2[ex] < r1[-1, ex] - tol).any()
+            ok[-1] = executed_reward_kept(r1[-1], r2, columns, ctx.tol)
         if longer:
             # Longer paths: replay step 1 is the candidate's first future
             # step, checked against each entry's child on the branch.
             _, rewards, step = candidate.future[1]
             children = self.branches[self.branch_of[candidate.parent_id]]
             child = depth[:longer]  # a child's row is its parent's depth
-            cols = np.add(self.offsets, step)
-            lap1 = children.floats[child[:, None], cols]
-            lap2 = np.concatenate(rewards)[cols]
-            d = _direction(ctx)
-            ok[:longer] = (
-                (children.ints[child, _ACTION] == self.code(step))
-                & ~(d * lap2 > lap1 * d + tol).any(axis=1)
-            )
+            executed = ctx.columns(step).executed
+            lap1 = children.floats[child[:, None], executed]
+            lap2 = reward_row(rewards)[executed]
+            moved = moved_against(lap1, lap2, ctx.direction, ctx.tol)
+            ok[:longer] = ((children.ints[child, _ACTION] == self.code(step))
+                           & ~moved.any(axis=1))
         return ok
 
 
@@ -424,6 +366,5 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         successor=successor_ids,
         start=start,
         sink_id=sink_id,
-        truncated=sink_id is not None,
         merge_events=merge_events,
     )

@@ -34,6 +34,14 @@ reply to the opponents' executed actions.
 All comparisons use an absolute tolerance, so branches that differ only by
 floating-point noise still merge.
 
+Each reward guard is one function over the trailing axis of reward rows
+(``reward_row``), so it tests one pair here and a whole bucket in the
+explorer's merge index alike.  ``SimilarityContext.direction`` is the one
+place the algorithm tag sets the reward direction, and
+``SimilarityContext.columns`` holds each joint action's row columns.  Signed
+forms such as ``d * x > y * d + tol`` equal the one-sided comparisons they
+stand for bit for bit, as IEEE rounding is symmetric in sign.
+
 ``similar()`` is the one definition of the relation.  The explorer calls it
 only for the bucket entries its merge index has not already ruled out (see
 ``explorer``), passing the generation-tree distance, a path provider in the
@@ -45,8 +53,10 @@ one, with the same result.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -58,6 +68,11 @@ from .game import Game
 from .game import expected_reward_vector  # noqa: F401
 
 DEFAULT_TOL = 1e-9
+
+
+def reward_row(rewards) -> np.ndarray:
+    """A state's per-player expected rewards, concatenated player by player."""
+    return np.concatenate(rewards)
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,88 @@ class SimilarityContext:
             raw = self.game.reward_tensor(i)
             out.append(raw >= raw.max(axis=i, keepdims=True) - self.tol)
         return tuple(out)
+
+    @cached_property
+    def direction(self) -> float:
+        """+1.0: a step action's reward must not rise (fp damps); -1.0: it
+        must not drop (the discounted variants strengthen)."""
+        return 1.0 if self.algorithm == "fp" else -1.0
+
+    @cached_property
+    def _columns(self) -> dict:
+        return {}
+
+    def columns(self, action: tuple[int, ...]) -> "ActionColumns":
+        """The reward-row columns the guards read for a joint action."""
+        columns = self._columns.get(action)
+        if columns is None:
+            columns = self._columns[action] = ActionColumns(self, action)
+        return columns
+
+
+class ActionColumns:
+    """Reward-row columns of one joint action, each set built on first use."""
+
+    def __init__(self, ctx: SimilarityContext, action: tuple[int, ...]):
+        # Weak: the context caches this object, and a cycle would keep the
+        # chain its path provider reads alive until the collector runs.
+        self.ctx = weakref.ref(ctx)
+        self.game, self.action = ctx.game, action
+
+    @cached_property
+    def executed(self) -> np.ndarray:
+        # Each player's column of its own action.
+        counts = self.game.action_counts
+        return np.add(list(accumulate(counts[:-1], initial=0)), self.action)
+
+    @cached_property
+    def prefix(self) -> tuple[np.ndarray, np.ndarray]:
+        # Each unplayed action of a player whose played action is not yet
+        # the best raw reply, and beside it the played one.
+        action, replies = self.action, self.ctx().best_raw_reply
+        pairs = [(column - a + b, column)
+                 for column, a, count, reply in zip(
+                     self.executed.tolist(), action,
+                     self.game.action_counts, replies)
+                 if not reply[action] for b in range(count) if b != a]
+        return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        # No path: ``direction`` on the played columns, minus it elsewhere.
+        direction = self.ctx().direction
+        sign = np.full(sum(self.game.action_counts), -direction)
+        sign[self.executed] = direction
+        return sign
+
+
+# The reward guards.  r1 holds the earlier state's reward row, or a stack of
+# them; r2 is the later state's row.  The row guards give one bool per row.
+
+def prefix_guard_holds(r1, r2, columns: ActionColumns, tol: float):
+    """No unplayed action gained more than the played one."""
+    gain = r2 - r1
+    guard, played = columns.prefix
+    return ~(gain[..., guard] > gain[..., played] + tol).any(axis=-1)
+
+
+def executed_reward_kept(r1, r2, columns: ActionColumns, tol: float):
+    """No player's executed action lost expected reward."""
+    executed = columns.executed
+    return ~(r2[executed] < r1[..., executed] - tol).any(axis=-1)
+
+
+def disjoint_direction_holds(r1, r2, columns: ActionColumns, tol: float):
+    """Under fp the played action's reward did not rise and no other's
+    dropped; under the discounted variants the reverse."""
+    sign = columns.sign
+    return (sign * r2 <= r1 * sign + tol).all(axis=-1)
+
+
+def moved_against(lap1, lap2, direction: float, tol: float):
+    """Elementwise: a path step's reward moved against ``direction`` from
+    one lap (lap1) to the next (lap2)."""
+    return direction * lap2 > lap1 * direction + tol
 
 
 class Future:
@@ -114,67 +211,23 @@ def _future_of(state: ExplorationState, game: Game) -> Future:
     return state.future if state.future is not None else Future(state, game)
 
 
-def _initial_step_agrees(s1, s2, ctx: SimilarityContext) -> bool:
-    # Both states' expected rewards must have grown fastest towards the
-    # same action, player by player, relative to their predecessors.
-    return s1.reward_gain_argmax == s2.reward_gain_argmax
-
-
-def _shared_prefix_guard(s1, s2, ctx: SimilarityContext) -> bool:
-    # Applies only when both predecessors played the states' own strategy.
-    if not (
-        s1.predecessor_pure_action == s1.pure_action
-        and s2.predecessor_pure_action == s1.pure_action
-    ):
-        return True
-    executed = s1.pure_action
-    game = ctx.game
-    for i in range(game.num_players):
-        if ctx.best_raw_reply[i][executed]:
-            continue
-        r1 = s1.expected_rewards[i]
-        r2 = s2.expected_rewards[i]
-        gap_exec = r2[executed[i]] - r1[executed[i]]
-        for a in range(game.action_counts[i]):
-            if a == executed[i]:
-                continue
-            if r2[a] - r1[a] > gap_exec + ctx.tol:
-                return False
-    return True
-
-
-def _executed_reward_not_dropped(s1, s2, ctx: SimilarityContext) -> bool:
-    executed = s1.pure_action
-    for i in range(ctx.game.num_players):
-        if (
-            s2.expected_rewards[i][executed[i]]
-            < s1.expected_rewards[i][executed[i]] - ctx.tol
-        ):
-            return False
-    return True
-
-
 def _path_replay_agrees(s1, s2, ctx: SimilarityContext) -> bool:
     # Replay the path word from s2 and compare against the actual path step
     # by step: same strategies, and the step action's expected reward damped
     # (fp) or strengthened (gfp/afffp) relative to one lap earlier.
     # The word starts with s1's action, which is s2's own, and every later
     # letter must equal the replayed action: the replay is s2's future.
-    game = ctx.game
+    direction, tol = ctx.direction, ctx.tol
     chain = ctx.path(s1, s2)
-    future = _future_of(s2, game)
+    future = _future_of(s2, ctx.game)
     for j in range(1, len(chain)):
         _, rewards, replayed = future[j]
         step = chain[j].pure_action
         if replayed != step:
             return False
-        for i in range(game.num_players):
-            lap1 = chain[j].expected_rewards[i][step[i]]
-            lap2 = rewards[i][step[i]]
-            if ctx.algorithm == "fp":
-                if lap2 > lap1 + ctx.tol:
-                    return False
-            elif lap2 < lap1 - ctx.tol:
+        lap1 = chain[j].expected_rewards
+        for i, a in enumerate(step):
+            if moved_against(lap1[i][a], rewards[i][a], direction, tol):
                 return False
     return True
 
@@ -182,29 +235,6 @@ def _path_replay_agrees(s1, s2, ctx: SimilarityContext) -> bool:
 # Bound on the lockstep-replay window for the no-path case; divergence of
 # non-equivalent branches shows up within their generation lag.
 MAX_LOCKSTEP_HORIZON = 512
-
-
-def _disjoint_branches_agree(s1, s2, ctx: SimilarityContext) -> bool:
-    # Equal predecessors.  Comparing actions is exact: a chain's one mixed
-    # state is its initial state, and its children have None here.
-    if s1.predecessor_pure_action != s2.predecessor_pure_action:
-        return False
-    damped = ctx.algorithm == "fp"
-    executed = s1.pure_action
-    for i in range(ctx.game.num_players):
-        r1 = s1.expected_rewards[i]
-        r2 = s2.expected_rewards[i]
-        for a in range(ctx.game.action_counts[i]):
-            if a == executed[i]:
-                ok = r2[a] <= r1[a] + ctx.tol if damped \
-                    else r2[a] >= r1[a] - ctx.tol
-            else:
-                ok = r2[a] >= r1[a] - ctx.tol if damped \
-                    else r2[a] <= r1[a] + ctx.tol
-            if not ok:
-                return False
-    horizon = min(max(2 * (s2.depth - s1.depth), 2), MAX_LOCKSTEP_HORIZON)
-    return _futures_agree(s1, s2, horizon, ctx)
 
 
 def _futures_agree(s1, s2, horizon: int, ctx: SimilarityContext) -> bool:
@@ -226,35 +256,47 @@ def _futures_agree(s1, s2, horizon: int, ctx: SimilarityContext) -> bool:
     return True
 
 
-def similar(
-    s1: ExplorationState,
-    s2: ExplorationState,
-    ctx: SimilarityContext,
-    distance: int | None,
-) -> bool:
+def similar(s1: ExplorationState, s2: ExplorationState,
+            ctx: SimilarityContext, distance: int | None) -> bool:
     """Whether the earlier state s1 subsumes the later state s2.
 
     ``distance`` is the generation-tree distance from s1 down to s2: 0 for
     the same state, ``None`` when no path exists.
     """
-    if s1.is_sink or s2.is_sink:
-        return False
-    # States without a predecessor (the initial state) carry no reward
-    # history to compare; they never merge.
+    # States without a predecessor (the initial state and the sink) carry
+    # no reward history to compare; they never merge.
     if s1.parent_id is None or s2.parent_id is None:
         return False
-    if s1.pure_action is None or s2.pure_action is None:
+    action = s1.pure_action
+    if action is None or action != s2.pure_action:
         return False
-    if s1.pure_action != s2.pure_action:
+    # Both states' expected rewards must have grown fastest towards the
+    # same action, player by player, relative to their predecessors.
+    if s1.reward_gain_argmax != s2.reward_gain_argmax:
         return False
-    if not _initial_step_agrees(s1, s2, ctx):
-        return False
-    if not _shared_prefix_guard(s1, s2, ctx):
-        return False
+    rows = None
+    if s1.predecessor_pure_action == action == s2.predecessor_pure_action:
+        columns = ctx.columns(action)
+        if columns.prefix[0].size:
+            rows = (reward_row(s1.expected_rewards),
+                    reward_row(s2.expected_rewards))
+            if not prefix_guard_holds(*rows, columns, ctx.tol):
+                return False
     if distance == 0:
         return True
-    if distance == 1:
-        return _executed_reward_not_dropped(s1, s2, ctx)
-    if distance is not None:
+    if distance is not None and distance > 1:
         return _path_replay_agrees(s1, s2, ctx)
-    return _disjoint_branches_agree(s1, s2, ctx)
+    # No path: equal predecessors.  Comparing actions is exact: a chain's
+    # one mixed state is its initial state, and its children have None here.
+    if (distance is None
+            and s1.predecessor_pure_action != s2.predecessor_pure_action):
+        return False
+    columns = ctx.columns(action)
+    r1, r2 = rows or (reward_row(s1.expected_rewards),
+                      reward_row(s2.expected_rewards))
+    if distance == 1:
+        return bool(executed_reward_kept(r1, r2, columns, ctx.tol))
+    if not disjoint_direction_holds(r1, r2, columns, ctx.tol):
+        return False
+    horizon = min(max(2 * (s2.depth - s1.depth), 2), MAX_LOCKSTEP_HORIZON)
+    return _futures_agree(s1, s2, horizon, ctx)

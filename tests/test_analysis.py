@@ -468,6 +468,28 @@ class TestChainShape:
             Dtmc(states=stub_states(3), successor=[2, 1, 2],
                  start=[Transition(1, 1.0, None)])
 
+    def test_truncated_is_read_from_the_sink(self):
+        chain = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)], 3)
+        assert not chain.truncated
+        chain = Dtmc(states=stub_states(3), successor=[1, 2, 2],
+                     start=[Transition(1, 1.0, None)], sink_id=2)
+        assert chain.truncated
+        with pytest.raises(TypeError):
+            Dtmc(states=stub_states(3), successor=[1, 2, 2],
+                 start=[Transition(1, 1.0, None)], truncated=True)
+
+    def test_sink_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match="state 7: the sink is not a self-loop"):
+            Dtmc(states=stub_states(3), successor=[1, 2, 2],
+                 start=[Transition(1, 1.0, None)], sink_id=7)
+
+    def test_sink_without_self_loop(self):
+        with pytest.raises(ValueError,
+                           match="state 1: the sink is not a self-loop"):
+            Dtmc(states=stub_states(3), successor=[1, 2, 2],
+                 start=[Transition(1, 1.0, None)], sink_id=1)
+
     def test_pure_initial_state_may_lie_on_a_cycle(self):
         dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3)
         (scc,) = bottom_sccs(dtmc)

@@ -380,15 +380,20 @@ def test_deleted_learner_forks_stay_deleted():
     # One learner core: the per-algorithm state classes, the simulator's
     # two-player copy of the update rules and the private helpers around
     # them must not come back under their old names.  Nor must the merge
-    # relation's parent-link fallback, its strategy comparison, or the
-    # per-state one-hot strategies and word replays.
+    # relation's parent-link fallback, its strategy comparison, the
+    # per-state one-hot strategies and word replays, or a second copy of
+    # its reward guards: the index's column sets, bucket class and reward
+    # direction, and the scalar guard loops.
     import importlib
     import pkgutil
 
     deleted = {"_batch_actions_two_player", "_afffp_step", "algorithm_of",
                "_rewards_of", "FpState", "GfpState", "AfffpState",
                "one_hot", "ancestor_distance", "_chain_between",
-               "_UNRESOLVED", "_strategies_equal", "replay_strategies"}
+               "_UNRESOLVED", "_strategies_equal", "replay_strategies",
+               "_KeyColumns", "_Bucket", "_direction", "_shared_prefix_guard",
+               "_executed_reward_not_dropped", "_initial_step_agrees",
+               "_disjoint_branches_agree"}
     modules = [smcl] + [
         importlib.import_module(f"smcl.{info.name}")
         for info in pkgutil.iter_modules(smcl.__path__)
@@ -415,3 +420,4 @@ def test_deleted_general_graph_members_stay_deleted():
     for cls, names in deleted.items():
         members = set(dir(cls)) | {f.name for f in fields(cls)}
         assert not names & members, cls.__name__
+

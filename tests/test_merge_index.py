@@ -2,8 +2,14 @@
 
 The index must change nothing but speed: the chains it builds must equal
 those of the full newest-first scan state for state, and its array
-pre-filter must never drop an entry that ``similar()`` accepts.
+pre-filter must never drop an entry that the relation accepts.  The scan
+decides with ``reference_similar``, the relation's scalar guards, so the
+array guards shared by ``similar()`` and the pre-filter are checked against
+it pair by pair.
 """
+
+from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -85,24 +91,44 @@ def test_index_matches_reference_scan(game_name, algo, monkeypatch):
     assert merges > 0
 
 
-# A coarse tolerance puts many reward differences within it, so a test
-# that drops or misplaces ``tol`` becomes stricter than similar() and shows.
+@cache
+def prefilter_counts(game_name, algo, tol) -> Counter:
+    """Pair counts of the index-checked reference scan on one grid cell.
+
+    ``reference_explore`` asserts, pair by pair, that ``similar()`` agrees
+    with ``reference_similar`` and that the index, sending every bucket
+    through the array tests, keeps each accepted entry.  At the default
+    tolerance the explorer's chains must also equal the scan's.
+    """
+    cfg = ExploreConfig(max_depth=50, tau0=1.0)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explorer_mod, "_SMALL_BUCKET", 0)
+        for game, learner in cases(game_name, algo):
+            dtmc, out, count = reference_explore(game, learner, cfg,
+                                                 index_check=True, tol=tol)
+            if tol == DEFAULT_TOL:
+                assert_same_chain(explore(game, learner, cfg), dtmc, out)
+            counts += count
+    return counts
+
+
+# A coarse tolerance puts many reward differences within it, so a guard
+# that drops or misplaces ``tol`` disagrees with the scalar one and shows.
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-2])
 @pytest.mark.parametrize("algo", sorted(ALGOS))
 @pytest.mark.parametrize("game_name", sorted(GAMES))
-def test_prefilter_keeps_every_accepted_entry(game_name, algo, tol,
-                                              monkeypatch):
-    monkeypatch.setattr(explorer_mod, "_SMALL_BUCKET", 0)
-    cfg = ExploreConfig(max_depth=50, tau0=1.0)
-    filtered = 0
-    for game, learner in cases(game_name, algo):
-        # reference_explore asserts the property candidate by candidate.
-        dtmc, out, count = reference_explore(game, learner, cfg,
-                                             index_check=True, tol=tol)
-        if tol == DEFAULT_TOL:
-            assert_same_chain(explore(game, learner, cfg), dtmc, out)
-        filtered += count
-    assert filtered > 0  # the pre-filter is not vacuous
+def test_prefilter_keeps_every_accepted_entry(game_name, algo, tol):
+    assert prefilter_counts(game_name, algo, tol)["filtered"] > 0
+    # Over the grid, pairs reach every part of the relation, so each guard
+    # is compared with its scalar loop.  No 2x2 coordination run reaches
+    # the shared-prefix guard, hence the grid rather than the cell.
+    total = Counter()
+    for other_game in sorted(GAMES):
+        for other_algo in sorted(ALGOS):
+            total += prefilter_counts(other_game, other_algo, tol)
+    for name in ("successor", "path", "disjoint", "prefix"):
+        assert total[name] > 0, (name, total)
 
 
 def test_futures_are_released():

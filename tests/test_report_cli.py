@@ -260,6 +260,19 @@ class TestCheckCommand:
         assert "error: alpha must lie in (0, 1), got 2.0" in err
         assert "run 0 failed" not in err
 
+    def test_negative_seed_rejected_before_any_run(self, simple_game_file,
+                                                   tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code = main([
+            "check", "--game", str(simple_game_file), "--algo", "fp",
+            "--random-inits", "2", "--seed", "-1", "--json", str(report),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: --seed must be non-negative, got -1" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+
 
 class TestSimulateCommand:
     def test_bad_alpha_exit_code(self, simple_game_file, tmp_path, capsys):
@@ -322,6 +335,18 @@ class TestSimulateCommand:
                 in capsys.readouterr().err
             assert not trace.exists()
 
+    def test_negative_seed_rejected_before_any_run(self, simple_game_file,
+                                                   tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "simulate", "--game", str(simple_game_file), "--algo", "fp",
+            "--iterations", "5", "--seed", "-3", "--trace", str(trace),
+        ])
+        assert code == 2
+        assert "error: --seed must be non-negative, got -3" \
+            in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_trace_and_batch_summary(
         self, simple_game_file, toy_weights_file, tmp_path, capsys
     ):
@@ -360,6 +385,18 @@ class TestCatalogCommand:
 
         game = parse_game(out)
         assert game.action_counts == (12, 12)
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n", "1", "n must be at least 2"),
+        ("--delta", "2", "delta must lie in (0, 1)"),
+    ])
+    def test_bad_complex_game_parameter_rejected(self, option, value,
+                                                 message, tmp_path, capsys):
+        out = tmp_path / "complex.game"
+        code = main(["catalog", "complex", option, value, "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shapley_round_trip_has_no_pure_nash(self, tmp_path):
         from smcl import is_pure_nash
