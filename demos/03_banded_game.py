@@ -32,7 +32,7 @@ learner = initial_state("fp", game, weights)
 chain = explore(game, learner, ExploreConfig(max_depth=3000, tau0=1.0))
 report = analyze(game, chain)
 
-deepest = max(s.depth for s in chain.states if not s.is_sink)
+deepest = max(s.depth for s in chain.states if s.id != chain.sink_id)
 print(f"states: {chain.num_states}, deepest state: {deepest}, "
       f"truncated: {chain.truncated}")
 

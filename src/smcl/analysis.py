@@ -1,8 +1,8 @@
 """Long-run analysis of an explored chain.
 
 Exploration stores the chain as a functional graph (see ``Dtmc``): every
-state but a branching initial state has one successor, and the initial
-state's transitions form the start distribution.  The bottom strongly
+state but the initial one has one successor, and the initial state's
+transitions form the start distribution.  The bottom strongly
 connected components, the absorbing structures, are then the cycles of the
 successor map, found by following successors from each state until a walk
 meets a state already seen.  A BSCC is reached with the start probability
@@ -51,7 +51,7 @@ def bottom_sccs(dtmc: Dtmc) -> list[Scc]:
     walk_of = [-1] * len(successor)
     cycles = []
     for start, target in enumerate(successor):
-        if target < 0:  # a branching initial state lies on no cycle
+        if target < 0:  # the initial state lies on no cycle
             continue
         path = []
         sid = start

@@ -26,15 +26,16 @@ from .simulate import empirical_convergence, simulate, trace_to_csv
 def _add_learner_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", required=True,
                         choices=["fp", "gfp", "afffp"])
-    parser.add_argument("--tau0", type=float, default=0.01,
+    parser.add_argument("--tau0", type=float, default=RunConfig.tau0,
                         help="first-iteration softmax temperature")
-    parser.add_argument("--alpha", type=float, default=0.2,
+    parser.add_argument("--alpha", type=float, default=RunConfig.alpha,
                         help="gfp discount step")
-    parser.add_argument("--lambda0", type=float, default=0.8,
+    parser.add_argument("--lambda0", type=float, default=RunConfig.lambda0,
                         help="afffp initial forgetting factor")
-    parser.add_argument("--gamma", type=float, default=0.05,
+    parser.add_argument("--gamma", type=float, default=RunConfig.gamma,
                         help="afffp adaptation rate")
-    parser.add_argument("--lambda-min", type=float, default=0.01,
+    parser.add_argument("--lambda-min", type=float,
+                        default=RunConfig.lambda_min,
                         help="afffp lower clamp for the forgetting factor")
 
 
@@ -48,9 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="explore and analyse a game")
     check.add_argument("--game", required=True)
     _add_learner_options(check)
-    check.add_argument("--max-depth", type=int, default=100)
-    check.add_argument("--state-cap", type=int, default=1_000_000)
-    check.add_argument("--prob-floor", type=float, default=0.0)
+    check.add_argument("--max-depth", type=int, default=RunConfig.max_depth)
+    check.add_argument("--state-cap", type=int, default=RunConfig.state_cap)
+    check.add_argument("--prob-floor", type=float,
+                       default=RunConfig.prob_floor)
     check.add_argument("--no-merge", action="store_true",
                        help="disable state merging (pure expansion tree)")
     init = check.add_mutually_exclusive_group(required=True)
@@ -108,7 +110,6 @@ def _cmd_check(args) -> int:
             state_cap=args.state_cap,
             prob_floor=args.prob_floor,
         )
-        config.explore_config()
         _check_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -148,8 +149,6 @@ def _cmd_simulate(args) -> int:
             lambda0=args.lambda0, gamma=args.gamma,
             lambda_min=args.lambda_min,
         )
-        if not args.tau0 > 0:
-            raise ValueError(f"tau0 must be positive, got {args.tau0}")
         if args.iterations < 1:
             raise ValueError(
                 f"--iterations must be at least 1, got {args.iterations}"

@@ -15,9 +15,9 @@ from .gamefile import atomic_write_text
 
 
 def _node_label(dtmc: Dtmc, sid: int) -> str:
-    state = dtmc.state(sid)
-    if state.is_sink:
+    if sid == dtmc.sink_id:
         return f"s{sid}\\nbottom"
+    state = dtmc.state(sid)
     if state.pure_action is not None:
         return f"s{sid}\\n{state.pure_action}"
     return f"s{sid}\\nmixed"

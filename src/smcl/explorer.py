@@ -1,15 +1,16 @@
 """Breadth-first construction of the chain of learning states.
 
-Exploration starts from the initial learner state, whose strategy uses the
-smooth best response with temperature ``tau0`` (the one probabilistic step);
-every later state plays deterministic best responses.  A BFS level lists
-``(source id, joint action, probability)`` steps: first the initial state's
-positive-probability joint actions, then one step from each state adopted
-on the level before, in adoption order.  Each step's candidate is either
-folded into an earlier state accepted by the merge relation or adopted, and
-its target becomes the source's successor, or a start transition of the
-initial state.  When the depth bound is hit with work remaining, the open
-frontier is redirected into an absorbing sink state.
+Exploration starts from the initial learner state, state 0, whose strategy
+uses the smooth best response with temperature ``tau0`` (the one
+probabilistic step); every later state plays deterministic best responses.
+A BFS level lists ``(source id, joint action, probability)`` steps: first
+the initial state's positive-probability joint actions, then one step from
+each state adopted on the level before, in adoption order.  Each step's
+candidate is either folded into an earlier state accepted by the merge
+relation or adopted.  Its target becomes a start transition when the source
+is the initial state, one transition or many, and the source's successor
+otherwise.  When the depth bound is hit with work remaining, the open
+frontier is redirected into an absorbing sink state, ``Dtmc.sink_id``.
 
 Where a candidate may merge is kept in a merge index:
 
@@ -39,6 +40,7 @@ Where a candidate may merge is kept in a merge index:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -79,14 +81,17 @@ class ExploreConfig:
     state_cap: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        for name in ("max_depth", "state_cap"):
+            value = getattr(self, name)
+            # NaN and fractions would slip past a plain bound check.
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{name} must be at least 1 and an integer, got {value}"
+                )
         if not self.tau0 > 0:
-            raise ValueError("tau0 must be positive")
+            raise ValueError(f"tau0 must be positive, got {self.tau0}")
         if not 0.0 <= self.prob_floor < 1.0:
             raise ValueError("prob_floor must be in [0, 1)")
-        if self.state_cap < 1:
-            raise ValueError("state_cap must be at least 1")
 
 
 def successor(
@@ -352,15 +357,13 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         depth += 1
         if depth >= cfg.max_depth and level:
             sink_id = len(states)
-            states.append(ExplorationState.sink(sink_id, depth))
+            states.append(ExplorationState(sink_id, None, None, depth))
             successor_ids.append(sink_id)
             for sid, _, _ in level:
                 successor_ids[sid] = sink_id
                 states[sid].future = None
             break
 
-    if len(start) == 1:
-        successor_ids[0] = start[0].target
     return Dtmc(
         states=states,
         successor=successor_ids,

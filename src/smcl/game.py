@@ -91,10 +91,6 @@ class Game:
     def num_players(self) -> int:
         return len(self.action_counts)
 
-    @property
-    def num_joint_actions(self) -> int:
-        return int(np.prod(self.action_counts))
-
     def reward_tensor(self, player: int) -> np.ndarray:
         """Player's rewards reshaped to one axis per player."""
         return self.rewards[player].reshape(self.action_counts)

@@ -9,7 +9,7 @@ the human-readable table is rendered from the same data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,20 +30,21 @@ class RunConfig:
     """Everything one checking run needs besides the game and weights."""
 
     algorithm: str
-    tau0: float = 0.01
+    tau0: float = ExploreConfig.tau0
     alpha: float = 0.2
     lambda0: float = 0.8
     gamma: float = DEFAULT_GAMMA
     lambda_min: float = DEFAULT_LAMBDA_MIN
-    max_depth: int = 100
-    merge_enabled: bool = True
-    state_cap: int = 1_000_000
-    prob_floor: float = 0.0
+    max_depth: int = ExploreConfig.max_depth
+    merge_enabled: bool = ExploreConfig.merge_enabled
+    state_cap: int = ExploreConfig.state_cap
+    prob_floor: float = ExploreConfig.prob_floor
 
     def __post_init__(self):
         check_parameters(self.algorithm, alpha=self.alpha,
                          lambda0=self.lambda0, gamma=self.gamma,
                          lambda_min=self.lambda_min)
+        self.explore_config()
 
     def explore_config(self) -> ExploreConfig:
         return ExploreConfig(
@@ -64,14 +65,16 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
+    """One run's entry in the report, its fields in the JSON schema's order."""
+
     index: int
+    error: str | None = None
     states: int = 0
     depth_last_state: int = 0
     depth_last_merge: int = 0
     truncated: bool = False
-    bsccs: list = field(default_factory=list)
     convergence_probability: float = 0.0
-    error: str | None = None
+    bsccs: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -113,8 +116,9 @@ def check_single(config: RunConfig, game: Game, weights,
         record.error = f"{type(exc).__name__}: {exc}"
         return record, None
     record.states = dtmc.num_states
+    sink = dtmc.sink_id
     record.depth_last_state = max(
-        (s.depth for s in dtmc.states if not s.is_sink), default=0
+        (s.depth for s in dtmc.states if s.id != sink), default=0
     )
     record.depth_last_merge = max(
         (dtmc.state(e.source_id).depth + 1 for e in dtmc.merge_events),
@@ -163,36 +167,14 @@ def _summary(report: Report) -> dict:
 
 
 def report_to_json(report: Report, game: Game) -> dict:
-    config = report.config
     return {
         "game": {
             "players": game.num_players,
             "actions": list(game.action_counts),
         },
-        "config": {
-            "algorithm": config.algorithm,
-            "tau0": config.tau0,
-            "alpha": config.alpha,
-            "lambda0": config.lambda0,
-            "gamma": config.gamma,
-            "lambda_min": config.lambda_min,
-            "max_depth": config.max_depth,
-            "merge_enabled": config.merge_enabled,
-            "state_cap": config.state_cap,
-            "prob_floor": config.prob_floor,
-        },
+        "config": asdict(report.config),
         "runs": [
-            {
-                "index": r.index,
-                "ok": r.ok,
-                "error": r.error,
-                "states": r.states,
-                "depth_last_state": r.depth_last_state,
-                "depth_last_merge": r.depth_last_merge,
-                "truncated": r.truncated,
-                "convergence_probability": r.convergence_probability,
-                "bsccs": r.bsccs,
-            }
+            {"index": r.index, "ok": r.ok, **asdict(r)}
             for r in report.runs
         ],
         "summary": _summary(report),

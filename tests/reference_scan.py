@@ -142,10 +142,8 @@ def reference_similar(
     ``distance`` is the generation-tree distance from s1 down to s2: 0 for
     the same state, ``None`` when no path exists.
     """
-    if s1.is_sink or s2.is_sink:
-        return False
-    # States without a predecessor (the initial state) carry no reward
-    # history to compare; they never merge.
+    # States without a predecessor (the initial state and the sink) carry
+    # no reward history to compare; they never merge.
     if s1.parent_id is None or s2.parent_id is None:
         return False
     if s1.pure_action is None or s2.pure_action is None:
@@ -288,7 +286,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
         depth += 1
         if depth >= cfg.max_depth and queue1:
             sink_id = len(states)
-            states.append(ExplorationState.sink(sink_id, depth))
+            states.append(ExplorationState(sink_id, None, None, depth))
             transitions[sink_id] = [Transition(sink_id, 1.0, None)]
             for sid in queue1:
                 transitions[sid] = [Transition(sink_id, 1.0, None)]
@@ -296,13 +294,11 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
 
     start = transitions[0]
     successor = [out[0].target for _, out in sorted(transitions.items())]
-    if len(start) > 1:
-        successor[0] = -1
+    successor[0] = -1
     dtmc = Dtmc(
         states=states,
         successor=successor,
         start=start,
-        initial_id=0,
         sink_id=sink_id,
         merge_events=merge_events,
     )

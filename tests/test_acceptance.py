@@ -297,7 +297,8 @@ class TestCriterion6PropertySuites:
                 GENERATED.append((game, dtmc))
         for game, dtmc in GENERATED:
             for sid in range(dtmc.num_states):
-                assert abs(dtmc.out_probability_sum(sid) - 1.0) <= 1e-9
+                total = sum(t.probability for t in dtmc.out(sid))
+                assert abs(total - 1.0) <= 1e-9
             report = analyze(game, dtmc)
             total = sum(b.reach_probability for b in report.bsccs)
             assert abs(total - 1.0) <= 1e-9

@@ -41,24 +41,22 @@ def stub_states(num_states):
     ]
 
 
-def graph_dtmc(edges, num_states, initial=0):
+def graph_dtmc(edges, num_states):
     """Stub chain from (src, dst, prob) triples; states carry no learner.
 
-    The initial state's edges are the start distribution; every other state
-    takes one edge of probability 1, and a state without one keeps -1.
+    State 0's edges are the start distribution; every other state takes one
+    edge of probability 1, and a state without one keeps -1.
     """
     successor = [-1] * num_states
     start = []
     for src, dst, prob in edges:
-        if src == initial:
+        if src == 0:
             start.append(Transition(dst, prob, None))
         else:
             assert successor[src] == -1 and prob == 1.0, (src, dst, prob)
             successor[src] = dst
-    if len(start) == 1:
-        successor[initial] = start[0].target
     return Dtmc(states=stub_states(num_states), successor=successor,
-                start=start, initial_id=initial)
+                start=start)
 
 
 def coordination_dtmc(simple_game, toy_weights, algo="fp", **kw):
@@ -200,8 +198,11 @@ class TestReachProbabilities:
             )
 
     def test_initial_state_inside_bscc(self):
-        dtmc = graph_dtmc([(0, 1, 1.0), (1, 0, 1.0)], num_states=2)
+        # The initial state's one transition enters a two-cycle.
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+                          num_states=3)
         (scc,) = bottom_sccs(dtmc)
+        assert scc.members == frozenset({1, 2})
         assert reach_probabilities(dtmc, [scc]) == [1.0]
 
     def test_probabilities_sum_to_one(self):
@@ -215,16 +216,17 @@ class TestReachProbabilities:
 
 class TestSteadyState:
     def test_deterministic_two_cycle_is_even(self):
-        dtmc = graph_dtmc([(0, 1, 1.0), (1, 0, 1.0)], num_states=2)
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+                          num_states=3)
         (scc,) = bottom_sccs(dtmc)
         assert steady_state(dtmc, scc) == pytest.approx(
-            {0: 0.5, 1: 0.5}, abs=1e-12
+            {1: 0.5, 2: 0.5}, abs=1e-12
         )
 
     def test_self_loop_singleton(self):
-        dtmc = graph_dtmc([(0, 0, 1.0)], num_states=1)
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 1, 1.0)], num_states=2)
         (scc,) = bottom_sccs(dtmc)
-        assert steady_state(dtmc, scc) == {0: 1.0}
+        assert steady_state(dtmc, scc) == {1: 1.0}
 
     def test_biased_two_state_chain(self):
         # stationary distribution of a proper stochastic 2-state chain
@@ -296,8 +298,8 @@ class TestClassification:
 
         table_row = np.array([[3.0, 0.0], [0.0, 1.0]])
         game = Game.from_tables([table_row, table_row])
-        dtmc = graph_dtmc([(0, 0, 1.0)], num_states=1)
-        dtmc.states[0].pure_action = (1, 1)
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 1, 1.0)], num_states=2)
+        dtmc.states[1].pure_action = (1, 1)
         (scc,) = bottom_sccs(dtmc)
         assert classify(game, dtmc, scc) \
             is Classification.PURE_NASH_NON_PARETO
@@ -313,7 +315,7 @@ class TestClassification:
             *(scc.members for scc in bottom_sccs(dtmc))
         )
         for state in dtmc.states:
-            if state.is_sink or state.pure_action is None:
+            if state.id == dtmc.sink_id or state.pure_action is None:
                 continue
             fixed_point = dtmc.successor[state.id] == state.id
             if fixed_point and is_pure_nash(simple_game, state.pure_action):
@@ -322,8 +324,8 @@ class TestClassification:
 
 class TestConvergenceProbability:
     def test_single_absorbing_equilibrium(self, simple_game):
-        dtmc = graph_dtmc([(0, 0, 1.0)], num_states=1)
-        dtmc.states[0].pure_action = (0, 0)
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 1, 1.0)], num_states=2)
+        dtmc.states[1].pure_action = (0, 0)
         assert convergence_probability(simple_game, dtmc) == 1.0
 
     def test_coordination_from_frozen_value(self, simple_game, toy_weights):
@@ -339,15 +341,13 @@ class TestConvergenceProbability:
 def random_functional_graph(rng, n, branches):
     """Stub chain of the explored shape, with a few extra structures.
 
-    State 0 is the initial state: with ``branches`` > 1 it fires that many
-    transitions and nothing re-enters it, with 1 it is an ordinary node that
-    other states may point to.  Every other state has one successor.  The
-    last state is a sink with a self-loop, and the three before it form a
-    cycle that no other state points to, so no branch reaches it.
+    State 0 is the initial state: it fires ``branches`` transitions and
+    nothing re-enters it.  Every other state has one successor.  The last
+    state is a sink with a self-loop, and the three before it form a cycle
+    that no other state points to, so no branch reaches it.
     """
     assert n >= 6
-    lowest = 1 if branches > 1 else 0
-    open_targets = list(range(lowest, n - 4)) + [n - 1]
+    open_targets = list(range(1, n - 4)) + [n - 1]
     edges = [
         (src, int(rng.choice(open_targets)), 1.0) for src in range(1, n - 4)
     ]
@@ -416,6 +416,7 @@ class TestAgainstReference:
             for cfg in configs:
                 dtmc = explore(game, learner, cfg)
                 assert_matches_reference(dtmc)
+                assert dtmc.successor[0] == -1
                 truncated += dtmc.truncated
                 pure_root += len(dtmc.out(dtmc.initial_id)) == 1
         assert truncated >= 2 and pure_root >= 2
@@ -426,7 +427,7 @@ class TestChainShape:
 
     def test_successor_count_differs_from_state_count(self):
         with pytest.raises(ValueError, match="state 2: 2 successors for 3"):
-            Dtmc(states=stub_states(3), successor=[1, 2],
+            Dtmc(states=stub_states(3), successor=[-1, 2],
                  start=[Transition(1, 1.0, None)])
 
     def test_state_without_transitions(self):
@@ -463,38 +464,53 @@ class TestChainShape:
             )
 
     def test_start_of_a_non_branching_initial_state(self):
+        # The one transition of a non-branching initial state is its
+        # ``start``; its ``successor`` stays -1 and no copy of it is kept.
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 1, 1.0)], 2)
+        assert dtmc.successor[0] == -1
+        assert dtmc.out(0) == dtmc.start == [Transition(1, 1.0, None)]
         with pytest.raises(ValueError, match="state 0: the initial state "
-                                             "does not branch"):
-            Dtmc(states=stub_states(3), successor=[2, 1, 2],
+                                             "has a successor"):
+            Dtmc(states=stub_states(2), successor=[1, 1],
                  start=[Transition(1, 1.0, None)])
+
+    def test_pure_initial_state_may_lie_on_a_cycle(self):
+        # A pure initial state's play may come back to where it began; the
+        # chain holds that return as a later state (3), never as state 0.
+        dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+                           (3, 1, 1.0)], 4)
+        (scc,) = bottom_sccs(dtmc)
+        assert scc.members == frozenset({1, 2, 3})
+        assert steady_state(dtmc, scc) == {1: 1 / 3, 2: 1 / 3, 3: 1 / 3}
+        assert reach_probabilities(dtmc, [scc]) == [1.0]
+        for edges, n in [([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3),
+                         ([(0, 0, 1.0)], 1)]:
+            with pytest.raises(ValueError, match="state 0: the initial state "
+                                                 "has a successor or is "
+                                                 "re-entered"):
+                graph_dtmc(edges, n)
 
     def test_truncated_is_read_from_the_sink(self):
         chain = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)], 3)
         assert not chain.truncated
-        chain = Dtmc(states=stub_states(3), successor=[1, 2, 2],
+        chain = Dtmc(states=stub_states(3), successor=[-1, 2, 2],
                      start=[Transition(1, 1.0, None)], sink_id=2)
         assert chain.truncated
         with pytest.raises(TypeError):
-            Dtmc(states=stub_states(3), successor=[1, 2, 2],
+            Dtmc(states=stub_states(3), successor=[-1, 2, 2],
                  start=[Transition(1, 1.0, None)], truncated=True)
 
     def test_sink_out_of_range(self):
         with pytest.raises(ValueError,
                            match="state 7: the sink is not a self-loop"):
-            Dtmc(states=stub_states(3), successor=[1, 2, 2],
+            Dtmc(states=stub_states(3), successor=[-1, 2, 2],
                  start=[Transition(1, 1.0, None)], sink_id=7)
 
     def test_sink_without_self_loop(self):
         with pytest.raises(ValueError,
                            match="state 1: the sink is not a self-loop"):
-            Dtmc(states=stub_states(3), successor=[1, 2, 2],
+            Dtmc(states=stub_states(3), successor=[-1, 2, 2],
                  start=[Transition(1, 1.0, None)], sink_id=1)
-
-    def test_pure_initial_state_may_lie_on_a_cycle(self):
-        dtmc = graph_dtmc([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3)
-        (scc,) = bottom_sccs(dtmc)
-        assert scc.members == frozenset({0, 1, 2})
-        assert steady_state(dtmc, scc) == {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
 
     def test_cycle_missing_from_bscc_list(self):
         dtmc = graph_dtmc([(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0),

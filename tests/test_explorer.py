@@ -127,7 +127,7 @@ class TestExploreStructure:
         assert dtmc.sink_id is not None
         depth_one = [
             s.id for s in dtmc.states
-            if s.depth == 1 and not s.is_sink
+            if s.depth == 1 and s.id != dtmc.sink_id
         ]
         assert depth_one
         for sid in depth_one:
@@ -167,9 +167,8 @@ class TestExploreStructure:
                 game, fp_learner(game, weights), max_depth=depth
             )
             for sid in range(dtmc.num_states):
-                assert dtmc.out_probability_sum(sid) == pytest.approx(
-                    1.0, abs=1e-9
-                )
+                total = sum(t.probability for t in dtmc.out(sid))
+                assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_no_orphan_states(self, simple_game, toy_weights):
         dtmc = exploration(simple_game, fp_learner(simple_game, toy_weights))
@@ -187,7 +186,7 @@ class TestExploreStructure:
     ):
         dtmc = exploration(simple_game, fp_learner(simple_game, toy_weights))
         for state in dtmc.states:
-            if state.depth >= 1 and not state.is_sink:
+            if state.depth >= 1 and state.id != dtmc.sink_id:
                 assert state.pure_action is not None
 
 
@@ -200,7 +199,7 @@ class TestExploreWithoutMerging:
         assert dtmc.truncated
         assert not dtmc.merge_events
         for state in dtmc.states:
-            if state.is_sink or state.id == dtmc.initial_id:
+            if state.id in (dtmc.initial_id, dtmc.sink_id):
                 continue
             assert state.depth <= 6
             assert state.parent_id is not None
@@ -231,7 +230,8 @@ class TestExploreLimits:
         )
         actions = {t.action for t in dtmc.out(0)}
         assert (1, 0) not in actions  # the 0.00995 branch is pruned
-        assert dtmc.out_probability_sum(0) == pytest.approx(1.0, abs=1e-12)
+        total = sum(t.probability for t in dtmc.out(0))
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -240,6 +240,13 @@ class TestExploreLimits:
             ExploreConfig(tau0=0.0)
         with pytest.raises(ValueError):
             ExploreConfig(prob_floor=-0.1)
+        # NaN passes a plain bound check; a fraction is no depth or count.
+        for name, value in [("max_depth", math.nan), ("state_cap", math.nan),
+                            ("max_depth", 2.5), ("state_cap", 2.5)]:
+            with pytest.raises(ValueError,
+                               match=f"{name} must be at least 1 and an "
+                                     f"integer, got {value}"):
+                ExploreConfig(**{name: value})
 
     def test_state_cap_below_one_rejected(self):
         for cap in (0, -3):

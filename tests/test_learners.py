@@ -406,18 +406,28 @@ def test_deleted_learner_forks_stay_deleted():
 def test_deleted_general_graph_members_stay_deleted():
     # The chain is stored as one successor per state plus the start
     # distribution; the general per-state transition lists, the successor
-    # map rebuilt from them and the per-state record of the fired action
-    # must not come back.
+    # map rebuilt from them, the per-state record of the fired action, the
+    # per-state sink flag beside ``Dtmc.sink_id`` and unused helpers must
+    # not come back.
     from dataclasses import fields
 
-    from smcl.dtmc import Dtmc, ExplorationState
+    from smcl.dtmc import Dtmc, ExplorationState, Transition
+    from smcl.game import Game
 
     deleted = {
         Dtmc: {"functional_graph", "_functional_graph", "successors",
-               "transitions"},
-        ExplorationState: {"executed_from_parent"},
+               "transitions", "out_probability_sum"},
+        ExplorationState: {"executed_from_parent", "is_sink", "sink"},
+        Game: {"num_joint_actions"},
     }
     for cls, names in deleted.items():
         members = set(dir(cls)) | {f.name for f in fields(cls)}
         assert not names & members, cls.__name__
+    # The initial state is always state 0: no constructor field names it.
+    assert "initial_id" not in {f.name for f in fields(Dtmc)}
+    states = [ExplorationState(id=i, strategy=None, learner=None, depth=0)
+              for i in range(2)]
+    chain = Dtmc(states=states, successor=[-1, 1],
+                 start=[Transition(1, 1.0, None)])
+    assert chain.initial_id == 0
 

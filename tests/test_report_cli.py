@@ -62,6 +62,14 @@ class TestRunCheck:
         assert all(r.error and "StateBudgetError" in r.error
                    for r in report.runs)
 
+    def test_exploration_setting_rejected_at_construction(self):
+        # Like a learner setting, it raises before any run starts.
+        with pytest.raises(ValueError,
+                           match="tau0 must be positive, got -1.0"):
+            RunConfig(algorithm="fp", tau0=-1.0)
+        with pytest.raises(ValueError, match="max_depth must be at least 1"):
+            RunConfig(algorithm="fp", max_depth=float("nan"))
+
     def test_json_validates_against_shipped_schema(
         self, simple_game, toy_weights
     ):
