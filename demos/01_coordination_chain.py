@@ -41,7 +41,8 @@ for algo, kwargs in [
     print()
 
     if algo == "fp":
-        export_dot(chain, report, "coordination_fp.dot")
+        members = set().union(*(b.scc.members for b in report.bsccs))
+        export_dot(chain, members, "coordination_fp.dot")
         print("  (FP chain written to coordination_fp.dot; render with"
               " `dot -Tpdf`)")
         print()

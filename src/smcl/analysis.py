@@ -152,12 +152,6 @@ class AnalysisReport:
     bsccs: tuple[BsccReport, ...]
     convergence_probability: float
 
-    def bscc_member_ids(self) -> set:
-        out = set()
-        for report in self.bsccs:
-            out |= report.scc.members
-        return out
-
 
 def analyze(game: Game, dtmc: Dtmc) -> AnalysisReport:
     """Full long-run report: BSCC inventory plus convergence probability."""

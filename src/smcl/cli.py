@@ -12,19 +12,20 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import fields
 
 from . import catalog
-from .analysis import analyze
 from .dot import export_dot
-from .explorer import explore
-from .gamefile import GameFileError, parse_game, parse_weights, write_game
-from .report import RunConfig, dump_json, render_table, run_check
+from .gamefile import (GameFileError, atomic_write_text, parse_game,
+                       parse_weights, write_game)
+from .report import RunConfig, render_table, report_to_json, run_check
 from .simulate import empirical_convergence, simulate, trace_to_csv
 
 
 def _add_learner_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algo", required=True,
+    parser.add_argument("--algo", dest="algorithm", required=True,
                         choices=["fp", "gfp", "afffp"])
     parser.add_argument("--tau0", type=float, default=RunConfig.tau0,
                         help="first-iteration softmax temperature")
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--state-cap", type=int, default=RunConfig.state_cap)
     check.add_argument("--prob-floor", type=float,
                        default=RunConfig.prob_floor)
-    check.add_argument("--no-merge", action="store_true",
+    check.add_argument("--no-merge", dest="merge_enabled",
+                       action="store_false",
                        help="disable state merging (pure expansion tree)")
     init = check.add_mutually_exclusive_group(required=True)
     init.add_argument("--weights", help="weights file for a single run")
@@ -89,6 +91,12 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be non-negative, got {seed}")
 
 
+def _run_config(args) -> RunConfig:
+    """The ``RunConfig`` of the options whose dests name its fields."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
+
+
 def _load_weights(args, game):
     if getattr(args, "weights", None):
         return parse_weights(args.weights, game)
@@ -98,18 +106,7 @@ def _load_weights(args, game):
 def _cmd_check(args) -> int:
     game = parse_game(args.game)
     try:
-        config = RunConfig(
-            algorithm=args.algo,
-            tau0=args.tau0,
-            alpha=args.alpha,
-            lambda0=args.lambda0,
-            gamma=args.gamma,
-            lambda_min=args.lambda_min,
-            max_depth=args.max_depth,
-            merge_enabled=not args.no_merge,
-            state_cap=args.state_cap,
-            prob_floor=args.prob_floor,
-        )
+        config = _run_config(args)
         _check_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -125,15 +122,17 @@ def _cmd_check(args) -> int:
             for k in range(args.random_inits)
         ]
     report = run_check(config, game, inits)
-    print(render_table(report, game))
+    payload = report_to_json(report, game)
+    print(render_table(payload))
     if args.json:
-        dump_json(report, game, args.json)
+        atomic_write_text(args.json, json.dumps(payload, indent=2) + "\n")
     if args.dot:
-        first = report.dtmcs[0]
-        if first is None:
+        first = payload["runs"][0]
+        if not first["ok"]:
             print("error: first run failed, no DOT written", file=sys.stderr)
         else:
-            export_dot(first, analyze(game, first), args.dot)
+            members = {m for b in first["bsccs"] for m in b["members"]}
+            export_dot(report.dtmcs[0], members, args.dot)
     for record in report.runs:
         if not record.ok:
             print(f"run {record.index} failed: {record.error}",
@@ -144,11 +143,7 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     game = parse_game(args.game)
     try:
-        config = RunConfig(
-            algorithm=args.algo, tau0=args.tau0, alpha=args.alpha,
-            lambda0=args.lambda0, gamma=args.gamma,
-            lambda_min=args.lambda_min,
-        )
+        config = _run_config(args)
         if args.iterations < 1:
             raise ValueError(
                 f"--iterations must be at least 1, got {args.iterations}"

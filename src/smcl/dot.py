@@ -9,7 +9,6 @@ byte-identical.
 
 from __future__ import annotations
 
-from .analysis import AnalysisReport
 from .dtmc import Dtmc
 from .gamefile import atomic_write_text
 
@@ -23,8 +22,9 @@ def _node_label(dtmc: Dtmc, sid: int) -> str:
     return f"s{sid}\\nmixed"
 
 
-def render_dot(dtmc: Dtmc, analysis: AnalysisReport) -> str:
-    bottom_members = analysis.bscc_member_ids()
+def render_dot(dtmc: Dtmc, bottom_members: set[int]) -> str:
+    """The chain as DOT; ``bottom_members`` holds the ids of every state in
+    a bottom component."""
     lines = ["digraph chain {", "  rankdir=LR;", "  node [fontsize=10];"]
     for sid in range(dtmc.num_states):
         label = _node_label(dtmc, sid)
@@ -46,5 +46,5 @@ def render_dot(dtmc: Dtmc, analysis: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(dtmc: Dtmc, analysis: AnalysisReport, path) -> None:
-    atomic_write_text(path, render_dot(dtmc, analysis))
+def export_dot(dtmc: Dtmc, bottom_members: set[int], path) -> None:
+    atomic_write_text(path, render_dot(dtmc, bottom_members))

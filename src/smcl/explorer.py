@@ -94,6 +94,14 @@ class ExploreConfig:
             raise ValueError("prob_floor must be in [0, 1)")
 
 
+def _next_id(states: list, cap: int) -> int:
+    """The id of the next state to adopt, within the state cap."""
+    sid = len(states)
+    if sid + 1 > cap:
+        raise StateBudgetError(sid + 1, cap)
+    return sid
+
+
 def successor(
     state: ExplorationState, action, game: Game
 ) -> ExplorationState:
@@ -337,9 +345,7 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
                         candidate.future = None
                         break
             if target is None:
-                target = len(states)
-                if target + 1 > cfg.state_cap:
-                    raise StateBudgetError(target + 1, cfg.state_cap)
+                target = _next_id(states, cfg.state_cap)
                 candidate.id = target
                 states.append(candidate)
                 successor_ids.append(-1)
@@ -356,7 +362,7 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         level = adopted
         depth += 1
         if depth >= cfg.max_depth and level:
-            sink_id = len(states)
+            sink_id = _next_id(states, cfg.state_cap)
             states.append(ExplorationState(sink_id, None, None, depth))
             successor_ids.append(sink_id)
             for sid, _, _ in level:

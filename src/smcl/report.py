@@ -8,8 +8,7 @@ the human-readable table is rendered from the same data.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,35 +24,22 @@ from .learners import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one checking run needs besides the game and weights."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(ExploreConfig):
+    """Everything one checking run needs besides the game and weights: the
+    exploration settings it inherits, plus the learner's."""
 
     algorithm: str
-    tau0: float = ExploreConfig.tau0
     alpha: float = 0.2
     lambda0: float = 0.8
     gamma: float = DEFAULT_GAMMA
     lambda_min: float = DEFAULT_LAMBDA_MIN
-    max_depth: int = ExploreConfig.max_depth
-    merge_enabled: bool = ExploreConfig.merge_enabled
-    state_cap: int = ExploreConfig.state_cap
-    prob_floor: float = ExploreConfig.prob_floor
 
     def __post_init__(self):
         check_parameters(self.algorithm, alpha=self.alpha,
                          lambda0=self.lambda0, gamma=self.gamma,
                          lambda_min=self.lambda_min)
-        self.explore_config()
-
-    def explore_config(self) -> ExploreConfig:
-        return ExploreConfig(
-            max_depth=self.max_depth,
-            tau0=self.tau0,
-            prob_floor=self.prob_floor,
-            merge_enabled=self.merge_enabled,
-            state_cap=self.state_cap,
-        )
+        super().__post_init__()
 
     def learner(self, game: Game, weights):
         return initial_state(
@@ -110,7 +96,7 @@ def check_single(config: RunConfig, game: Game, weights,
     record = RunRecord(index=index)
     try:
         learner = config.learner(game, weights)
-        dtmc = explore(game, learner, config.explore_config())
+        dtmc = explore(game, learner, config)
         analysis = analyze(game, dtmc)
     except Exception as exc:  # noqa: BLE001 - reported per run
         record.error = f"{type(exc).__name__}: {exc}"
@@ -167,26 +153,25 @@ def _summary(report: Report) -> dict:
 
 
 def report_to_json(report: Report, game: Game) -> dict:
+    """The report's JSON payload; its run entries share the records' lists."""
+    config = report.config
     return {
         "game": {
             "players": game.num_players,
             "actions": list(game.action_counts),
         },
-        "config": asdict(report.config),
-        "runs": [
-            {"index": r.index, "ok": r.ok, **asdict(r)}
-            for r in report.runs
-        ],
+        "config": {f.name: getattr(config, f.name) for f in fields(config)},
+        "runs": [{"index": r.index, "ok": r.ok, **vars(r)}
+                 for r in report.runs],
         "summary": _summary(report),
     }
 
 
-def render_table(report: Report, game: Game) -> str:
-    """Human-readable summary; derived from the JSON payload."""
-    payload = report_to_json(report, game)
-    summary = payload["summary"]
+def render_table(payload: dict) -> str:
+    """Human-readable summary of a ``report_to_json`` payload."""
+    summary, runs = payload["summary"], payload["runs"]
     lines = [
-        f"algorithm            {report.config.algorithm}",
+        f"algorithm            {payload['config']['algorithm']}",
         f"runs                 {summary['runs']}"
         + (f"  ({summary['failed_runs']} failed)"
            if summary["failed_runs"] else ""),
@@ -200,20 +185,12 @@ def render_table(report: Report, game: Game) -> str:
         "convergence prob.    mean {mean:.4f}  min {min:.4f}  max {max:.4f}"
         .format(**summary["convergence_probability"]),
     ]
-    if len(report.runs) == 1 and report.runs[0].ok:
+    if len(runs) == 1 and runs[0]["ok"]:
         lines.append("bsccs:")
-        for b in report.runs[0].bsccs:
+        for b in runs[0]["bsccs"]:
             actions = " ".join(str(tuple(a)) for a in b["actions"])
             lines.append(
                 f"  {b['classification']:<18} p={b['reach_probability']:.6f}"
                 f"  actions: {actions if actions else '(sink)'}"
             )
     return "\n".join(lines)
-
-
-def dump_json(report: Report, game: Game, path) -> None:
-    from .gamefile import atomic_write_text
-
-    atomic_write_text(
-        path, json.dumps(report_to_json(report, game), indent=2) + "\n"
-    )

@@ -53,7 +53,6 @@ one, with the same result.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -110,18 +109,22 @@ class SimilarityContext:
         """The reward-row columns the guards read for a joint action."""
         columns = self._columns.get(action)
         if columns is None:
-            columns = self._columns[action] = ActionColumns(self, action)
+            columns = self._columns[action] = ActionColumns(
+                self.game, action, self.best_raw_reply, self.direction
+            )
         return columns
 
 
 class ActionColumns:
     """Reward-row columns of one joint action, each set built on first use."""
 
-    def __init__(self, ctx: SimilarityContext, action: tuple[int, ...]):
-        # Weak: the context caches this object, and a cycle would keep the
-        # chain its path provider reads alive until the collector runs.
-        self.ctx = weakref.ref(ctx)
-        self.game, self.action = ctx.game, action
+    def __init__(self, game: Game, action: tuple[int, ...],
+                 best_raw_reply: tuple[np.ndarray, ...], direction: float):
+        # The context's values, not the context: it caches this object, and
+        # a cycle would keep the chain its path provider reads alive until
+        # the collector runs.
+        self.game, self.action = game, action
+        self.best_raw_reply, self.direction = best_raw_reply, direction
 
     @cached_property
     def executed(self) -> np.ndarray:
@@ -133,7 +136,7 @@ class ActionColumns:
     def prefix(self) -> tuple[np.ndarray, np.ndarray]:
         # Each unplayed action of a player whose played action is not yet
         # the best raw reply, and beside it the played one.
-        action, replies = self.action, self.ctx().best_raw_reply
+        action, replies = self.action, self.best_raw_reply
         pairs = [(column - a + b, column)
                  for column, a, count, reply in zip(
                      self.executed.tolist(), action,
@@ -144,7 +147,7 @@ class ActionColumns:
     @cached_property
     def sign(self) -> np.ndarray:
         # No path: ``direction`` on the played columns, minus it elsewhere.
-        direction = self.ctx().direction
+        direction = self.direction
         sign = np.full(sum(self.game.action_counts), -direction)
         sign[self.executed] = direction
         return sign

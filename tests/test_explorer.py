@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +222,37 @@ class TestExploreLimits:
                 merge_enabled=False, max_depth=100, state_cap=20,
             )
         assert info.value.state_count > 20
+
+    def test_state_cap_counts_the_sink(self, simple_game, toy_weights):
+        # Depth 3 without merging adopts 13 states and then adds the sink.
+        learner = fp_learner(simple_game, toy_weights)
+        with pytest.raises(StateBudgetError) as info:
+            exploration(simple_game, learner, max_depth=3, tau0=1.0,
+                        merge_enabled=False, state_cap=13)
+        assert info.value.state_count == 14
+        dtmc = exploration(simple_game, learner, max_depth=3, tau0=1.0,
+                           merge_enabled=False, state_cap=14)
+        assert dtmc.num_states == 14 and dtmc.sink_id == 13
+
+    def test_chain_freed_without_the_cycle_collector(self):
+        # The merge context reads the states through its path provider; a
+        # reference cycle through it would keep every state alive until the
+        # collector runs, long after the chain itself is dropped.
+        game = complex_coordination(n=2)
+        learner = initial_state("gfp", game,
+                                random_initial_weights(game, [5, 0]),
+                                alpha=0.2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dtmc = exploration(game, learner, max_depth=300, tau0=1.0)
+            assert dtmc.merge_events
+            states = [weakref.ref(s) for s in dtmc.states]
+            del dtmc
+            assert all(ref() is None for ref in states)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_probability_floor_prunes_and_renormalises(
         self, simple_game, toy_weights

@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import smcl.analysis
+import smcl.cli
+import smcl.report
 from smcl import SIMPLE_COORDINATION_WEIGHTS
 from smcl.cli import main
 from smcl.gamefile import write_weights
@@ -83,7 +87,7 @@ class TestRunCheck:
         config = RunConfig(algorithm="fp", tau0=0.01)
         report = run_check(config, simple_game, [toy_weights])
         payload = report_to_json(report, simple_game)
-        table = render_table(report, simple_game)
+        table = render_table(payload)
         mean = payload["summary"]["convergence_probability"]["mean"]
         assert f"{mean:.4f}" in table
         assert str(payload["summary"]["runs"]) in table
@@ -107,6 +111,35 @@ class TestCheckCommand:
         jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
         assert payload["runs"][0]["states"] == 8
         assert dot_out.exists()
+
+    @pytest.mark.parametrize("init, runs", [
+        (None, 1), (["--random-inits", "3"], 3),
+    ])
+    def test_each_run_analysed_once_and_payload_built_once(
+        self, init, runs, simple_game_file, toy_weights_file, tmp_path,
+        monkeypatch,
+    ):
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (smcl.analysis, smcl.report, smcl.cli):
+            for name in ("analyze", "report_to_json"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, counted(name, getattr(module, name))
+                    )
+        init = init or ["--weights", str(toy_weights_file)]
+        assert main([
+            "check", "--game", str(simple_game_file), "--algo", "fp",
+            "--tau0", "1.0", *init, "--json", str(tmp_path / "r.json"),
+            "--dot", str(tmp_path / "c.dot"),
+        ]) == 0
+        assert calls == {"analyze": runs, "report_to_json": 1}
 
     def test_dot_export_is_deterministic(
         self, simple_game_file, toy_weights_file, tmp_path
