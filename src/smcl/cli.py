@@ -125,7 +125,7 @@ def _cmd_check(args) -> int:
     payload = report_to_json(report, game)
     print(render_table(payload))
     if args.json:
-        atomic_write_text(args.json, json.dumps(payload, indent=2) + "\n")
+        atomic_write_text(args.json, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     if args.dot:
         first = payload["runs"][0]
         if not first["ok"]:

@@ -1,12 +1,12 @@
 """State and chain types produced by the exploration of a learning run.
 
 Exploration builds a chain of one shape.  State 0 is the initial state and
-the only one that mixes: its ``strategy`` is the first-step distribution
-over each player's actions, its transitions are the chain's start
-distribution, and nothing re-enters it.  Every later state plays a pure
-best response, held in ``pure_action``, and has exactly one successor, so
-``Dtmc`` stores the chain as that functional graph: one successor id per
-state plus the start distribution.  A truncated chain has one more state,
+the only one that may mix: its first-step distribution over joint actions
+is stored once, as the chain's start distribution ``Dtmc.start``, and
+nothing re-enters it.  Every later state plays a pure best response, held
+in ``pure_action``, and has exactly one successor, so ``Dtmc`` stores the
+chain as that functional graph: one successor id per state plus the start
+distribution.  A truncated chain has one more state,
 named by ``Dtmc.sink_id``, that absorbs the open branches.  Besides the
 learner parameters, a state keeps what the merge relation compares: its
 expected rewards, the generating parent, the parent's pure action and,
@@ -23,8 +23,6 @@ import numpy as np
 
 from .game import argmax_with_ties
 
-STRATEGY_TOL = 1e-9
-
 
 class Transition(NamedTuple):
     target: int
@@ -36,14 +34,12 @@ class Transition(NamedTuple):
 class ExplorationState:
     """One node of the chain: learner parameters plus what the state plays.
 
-    The initial state carries its first-step ``strategy`` and, when that is
-    degenerate, its ``pure_action`` as well; every other state but the sink
-    carries only ``pure_action`` and has ``strategy=None``.  The sink
-    carries neither.
+    Every state but the sink carries ``pure_action``; the initial state
+    carries it only when its first step is pure, since a mixed first step
+    lives in ``Dtmc.start``.  The sink carries neither.
     """
 
     id: int
-    strategy: tuple[np.ndarray, ...] | None
     learner: object | None
     depth: int
     parent_id: int | None = None
@@ -60,31 +56,6 @@ class ExplorationState:
     # explorer still needs it: shared by the merge attempts against a
     # candidate, and its first step becomes the adopted state's successor.
     future: object | None = field(default=None, repr=False, compare=False)
-
-    def positive_actions(self, floor: float = 0.0):
-        """Joint actions this state fires, with probabilities, flat order."""
-        if self.pure_action is not None:
-            return [(self.pure_action, 1.0)]
-        out = []
-        counts = tuple(len(s) for s in self.strategy)
-        for action in np.ndindex(*counts):
-            p = 1.0
-            for i, a in enumerate(action):
-                p *= float(self.strategy[i][a])
-            if p > floor:
-                out.append((tuple(int(a) for a in action), p))
-        return out
-
-
-def pure_action_of(strategy, tol: float = STRATEGY_TOL):
-    """The single supported joint action, or None if any player mixes."""
-    action = []
-    for dist in strategy:
-        idx = int(np.argmax(dist))
-        if dist[idx] < 1.0 - tol:
-            return None
-        action.append(idx)
-    return tuple(action)
 
 
 def reward_gain_argmax(current, previous) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Breadth-first construction of the chain of learning states.
 
-Exploration starts from the initial learner state, state 0, whose strategy
-uses the smooth best response with temperature ``tau0`` (the one
-probabilistic step); every later state plays deterministic best responses.
+Exploration starts from the initial learner state, state 0, whose first
+step, ``learners.smooth_strategy`` with temperature ``tau0``, is the one
+probabilistic step; every later step is a ``learners.best_response_step``.
 A BFS level lists ``(source id, joint action, probability)`` steps: first
 the initial state's positive-probability joint actions, then one step from
 each state adopted on the level before, in adoption order.  Each step's
@@ -40,8 +40,10 @@ Where a candidate may merge is kept in a merge index:
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -52,13 +54,16 @@ from .dtmc import (
     ExplorationState,
     MergeEvent,
     Transition,
-    pure_action_of,
     reward_gain_argmax,
 )
-from .game import Game, smooth_best_response
+from .game import Game
 from .similarity import Future, SimilarityContext, reward_row, similar
 from .similarity import (disjoint_direction_holds, executed_reward_kept,
                          moved_against, prefix_guard_holds)
+
+
+# Probability a pure first step may leave off each player's top action.
+PURE_TOL = 1e-9
 
 
 class StateBudgetError(RuntimeError):
@@ -92,6 +97,11 @@ class ExploreConfig:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
         if not 0.0 <= self.prob_floor < 1.0:
             raise ValueError("prob_floor must be in [0, 1)")
+        # Every float setting, a subclass's too: inf passes range checks.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _next_id(states: list, cap: int) -> int:
@@ -122,7 +132,6 @@ def successor(
         )
     return ExplorationState(
         id=-1,
-        strategy=None,
         learner=learner,
         depth=state.depth + 1,
         parent_id=state.id,
@@ -143,21 +152,27 @@ def merge_candidate(
     return candidate
 
 
-def _initial_state(game: Game, learner, tau0: float) -> ExplorationState:
+def _initial_state(game: Game, learner, tau0: float,
+                   prob_floor: float = 0.0):
+    """The initial state and its first steps, ``(joint action, p)`` pairs:
+    one with p = 1 if every player is pure to within ``PURE_TOL``, else
+    every joint action above ``prob_floor`` in flat order, renormalised
+    only when the floor dropped some mass."""
     rewards = learners.expected_rewards(learner, game)
-    strategy = tuple(
-        smooth_best_response(game, i, learners.estimates(learner, i, game),
-                             tau0)
-        for i in range(game.num_players)
-    )
-    return ExplorationState(
-        id=0,
-        strategy=strategy,
-        learner=learner,
-        depth=0,
-        expected_rewards=rewards,
-        pure_action=pure_action_of(strategy),
-    )
+    strategy = learners.smooth_strategy(rewards, tau0)
+    root = ExplorationState(id=0, learner=learner, depth=0,
+                            expected_rewards=rewards)
+    if all(dist.max() >= 1.0 - PURE_TOL for dist in strategy):
+        root.pure_action = tuple(int(dist.argmax()) for dist in strategy)
+        return root, [(root.pure_action, 1.0)]
+    probs = reduce(np.multiply.outer, strategy).ravel().tolist()
+    first = [(action, p)
+             for action, p in zip(np.ndindex(*game.action_counts), probs)
+             if p > prob_floor]
+    total = sum(p for _, p in first)
+    if prob_floor > 0 and first and total < 1.0:
+        first = [(action, p / total) for action, p in first]
+    return root, first
 
 
 class _Rows:
@@ -308,7 +323,8 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         raise ValueError(
             "learner state does not match the game's action counts"
         )
-    root = _initial_state(game, initial_learner, cfg.tau0)
+    root, first = _initial_state(game, initial_learner, cfg.tau0,
+                                 cfg.prob_floor)
     states = [root]
     index = ctx = None
     if cfg.merge_enabled:
@@ -316,10 +332,6 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         ctx = SimilarityContext(
             game=game, algorithm=initial_learner.algorithm, path=index.path
         )
-    first = root.positive_actions(cfg.prob_floor)
-    total = sum(p for _, p in first)
-    if cfg.prob_floor > 0 and first and total < 1.0:
-        first = [(action, p / total) for action, p in first]
     level = [(0, action, p) for action, p in first]
     successor_ids = [-1]
     start: list[Transition] = []
@@ -363,7 +375,7 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         depth += 1
         if depth >= cfg.max_depth and level:
             sink_id = _next_id(states, cfg.state_cap)
-            states.append(ExplorationState(sink_id, None, None, depth))
+            states.append(ExplorationState(sink_id, None, depth))
             successor_ids.append(sink_id)
             for sid, _, _ in level:
                 successor_ids[sid] = sink_id

@@ -180,11 +180,14 @@ def smooth_best_response(
     unit-scale rewards) do not overflow.  The result is strictly positive
     and sums to 1.
     """
+    return softmax(expected_reward_vector(game, player, estimates), tau)
+
+
+def softmax(values: np.ndarray, tau: float) -> np.ndarray:
+    """Softmax along the last axis with temperature ``tau``, max-shifted."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    values = expected_reward_vector(game, player, estimates)
-    shifted = (values - values.max(axis=-1, keepdims=True)) / tau
-    weights = np.exp(shifted)
+    weights = np.exp((values - values.max(axis=-1, keepdims=True)) / tau)
     return weights / weights.sum(axis=-1, keepdims=True)
 
 

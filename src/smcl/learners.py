@@ -16,9 +16,11 @@ observer-major order (``ordered_pairs``):
 A batch of states carries the same leading batch axes on every array, one
 row per independent run (``broadcast`` makes one from a single state).
 ``observe``, ``estimates`` and ``expected_rewards`` work along the trailing
-axes, so the explorer steps one unbatched state and the simulator all its
-playouts at once, with the same code.  States are value-semantic
-snapshots: ``observe`` never mutates, it returns the successor state.
+axes, and so do the two learning steps: ``smooth_strategy``, the first
+iteration's softmax over expected rewards, and ``best_response_step``,
+every later one.  The explorer steps one unbatched state with them and the
+simulator all its playouts at once.  States are value-semantic snapshots:
+``observe`` never mutates, it returns the successor state.
 
 FP counts observed actions.  Starting from weights normalised to sum 1 per
 pair, each observation adds 1 to the observed action's weight; the norm is
@@ -310,12 +312,19 @@ def expected_rewards(state: LearnerState, game) -> tuple[np.ndarray, ...]:
     )
 
 
+def smooth_strategy(rewards, tau: float) -> tuple[np.ndarray, ...]:
+    """The first step: per player, the softmax of its expected rewards
+    ``rewards`` (from ``expected_rewards``) with temperature ``tau``."""
+    return tuple(games.softmax(r, tau) for r in rewards)
+
+
 def best_response_step(state: LearnerState, game, executed):
-    """One step past the first iteration, for an unbatched state.
+    """One step past the first iteration, for one state or a batch.
 
     All players observe ``executed``, then each plays a best response to
-    its new estimates.  Returns ``(state, expected_rewards, joint_action)``
-    after the step.
+    its new estimates.  Returns ``(state, expected_rewards, choice)`` after
+    the step; ``choice`` holds per player an int, or for a batch an integer
+    array over the batch axes, each row as the row stepped on its own.
     """
     state = observe(state, game, executed)
     rewards = expected_rewards(state, game)

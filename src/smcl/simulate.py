@@ -1,13 +1,13 @@
 """Monte-Carlo playouts of a learning run.
 
 The first iteration samples each player's action from its smooth best
-response with one uniform draw; every later iteration plays the
-deterministic best response.  A single run and a batch of runs are the same
-loop over ``learners``' state (a batch is a state with one row per run), so
-the simulator shares every update rule with the explorer, for any number of
-players.  Batches classify each run by the joint actions its tail keeps
-repeating, which makes them an independent check on the chain analysis's
-absorption probabilities.
+response, ``learners.smooth_strategy``, with one uniform draw; every later
+iteration is a ``learners.best_response_step``.  A single run and a batch
+of runs are the same loop over ``learners``' state (a batch is a state with
+one row per run), so the simulator shares both steps with the explorer, for
+any number of players.  Batches classify each run by the joint actions its
+tail keeps repeating, which makes them an independent check on the chain
+analysis's absorption probabilities.
 
 Randomness comes from numpy's default bit generator (PCG64).  A single run
 draws its first-step uniforms from ``default_rng(seed)``; batch run ``r``
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .game import Game, argmax_with_ties, smooth_best_response
+from .game import Game
 
 MAX_CYCLE_PERIOD = 8
 
@@ -50,26 +50,21 @@ def _playout(game: Game, initial, iterations: int, tau0: float,
 
     ``uniforms`` (..., num_players) holds each run's first-step draws; its
     leading axes are the batch, and each action is an integer array
-    (..., num_players).
+    (..., num_players).  ``iterations`` must be at least 1.
     """
     state = learners.broadcast(initial, uniforms.shape[:-1])
-    for t in range(iterations):
-        rewards = learners.expected_rewards(state, game)
-        if t == 0:
-            chosen = [
-                _sample_index(
-                    smooth_best_response(
-                        game, i, learners.estimates(state, i, game), tau0
-                    ),
-                    uniforms[..., i],
-                )
-                for i in range(game.num_players)
-            ]
-        else:
-            chosen = [argmax_with_ties(r) for r in rewards]
+    rewards = learners.expected_rewards(state, game)
+    action = np.stack([
+        _sample_index(dist, uniforms[..., i])
+        for i, dist in enumerate(learners.smooth_strategy(rewards, tau0))
+    ], axis=-1)
+    yield state, rewards, action
+    for _ in range(1, iterations):
+        state, rewards, chosen = learners.best_response_step(
+            state, game, action
+        )
         action = np.stack(chosen, axis=-1)
         yield state, rewards, action
-        state = learners.observe(state, game, action)
 
 
 def simulate(
@@ -156,6 +151,8 @@ def empirical_convergence(
     """Frequency of each repeating tail action set over many playouts."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
     window = max(1, min(50, iterations // 2))
     return _classify_batch(
         game, _batch_actions(game, initial, runs, iterations, seed, tau0),

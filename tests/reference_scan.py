@@ -7,7 +7,7 @@ is shared and no entry is skipped, so the chain this builds is what the
 relation alone defines; the indexed explorer must reproduce it exactly.
 The scan keeps every state's transitions as a list of its own, the general
 form, so the explorer's functional graph is checked against it state by
-state.
+state; it enumerates the initial state's first steps itself.
 
 The scan decides with ``reference_similar``, the relation written with one
 scalar loop per guard, independently of the array guards that
@@ -23,8 +23,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
+import numpy as np
+
 from smcl.dtmc import Dtmc, ExplorationState, MergeEvent, Transition
-from smcl.explorer import _initial_state, _MergeIndex, merge_candidate
+from smcl.explorer import _MergeIndex, merge_candidate
+from smcl.game import smooth_best_response
+from smcl.learners import estimates, expected_rewards
 from smcl.similarity import (
     DEFAULT_TOL,
     MAX_LOCKSTEP_HORIZON,
@@ -204,6 +208,33 @@ def chain_between(s1: ExplorationState, s2: ExplorationState,
     return chain
 
 
+def reference_root(game, learner, cfg):
+    """The initial state and the joint actions it fires, with probabilities.
+
+    Written out on its own: each player's smooth best response to its
+    estimates; one joint action with probability 1 when every player puts
+    at least 1 - 1e-9 on one action, else every joint action above the
+    floor, in flat order.
+    """
+    dists = [smooth_best_response(game, i, estimates(learner, i, game),
+                                  cfg.tau0)
+             for i in range(game.num_players)]
+    state = ExplorationState(id=0, learner=learner, depth=0,
+                             expected_rewards=expected_rewards(learner, game))
+    top = tuple(int(np.argmax(dist)) for dist in dists)
+    if all(dist[a] >= 1.0 - 1e-9 for dist, a in zip(dists, top)):
+        state.pure_action = top
+        return state, [(top, 1.0)]
+    fired = []
+    for action in np.ndindex(*game.action_counts):
+        p = 1.0
+        for dist, a in zip(dists, action):
+            p *= float(dist[a])
+        if p > cfg.prob_floor:
+            fired.append((action, p))
+    return state, fired
+
+
 def reference_explore(game, initial_learner, cfg, index_check=False,
                       tol=DEFAULT_TOL):
     """The explorer's chain, built by a full newest-first bucket scan.
@@ -214,7 +245,8 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
     out, and under each name ``guards_reached`` gives, the number of pairs
     that reached that part of the relation.
     """
-    states = [_initial_state(game, initial_learner, cfg.tau0)]
+    root, first = reference_root(game, initial_learner, cfg)
+    states = [root]
     ctx = SimilarityContext(
         game=game,
         algorithm=initial_learner.algorithm,
@@ -236,7 +268,8 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
             sid = queue1.popleft()
             state = states[sid]
             out: list[Transition] = []
-            for action, prob in state.positive_actions(cfg.prob_floor):
+            fired = first if sid == 0 else [(state.pure_action, 1.0)]
+            for action, prob in fired:
                 candidate = merge_candidate(state, action, game)
                 target = None
                 if cfg.merge_enabled:
@@ -286,7 +319,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
         depth += 1
         if depth >= cfg.max_depth and queue1:
             sink_id = len(states)
-            states.append(ExplorationState(sink_id, None, None, depth))
+            states.append(ExplorationState(sink_id, None, depth))
             transitions[sink_id] = [Transition(sink_id, 1.0, None)]
             for sid in queue1:
                 transitions[sid] = [Transition(sink_id, 1.0, None)]

@@ -36,7 +36,7 @@ NASH_SPLIT = 0.17960065808013714  # 2 x (1 - x), x = 1/(1 + exp(-2.2))
 
 def stub_states(num_states):
     return [
-        ExplorationState(id=i, strategy=None, learner=None, depth=0)
+        ExplorationState(id=i, learner=None, depth=0)
         for i in range(num_states)
     ]
 

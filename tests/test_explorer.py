@@ -9,6 +9,7 @@ from smcl import (
     ExplorationState,
     ExploreConfig,
     StateBudgetError,
+    Transition,
     complex_coordination,
     explore,
     initial_state,
@@ -51,7 +52,7 @@ class TestInitialState:
 class TestSuccessor:
     def test_matches_frozen_one_step_weights(self, simple_game, toy_weights):
         learner = fp_learner(simple_game, toy_weights)
-        start = _initial_state(simple_game, learner, tau0=0.01)
+        start, _ = _initial_state(simple_game, learner, tau0=0.01)
         child = successor(start, (0, 0), simple_game)
         # Rows are the ordered pairs (0, 1) and (1, 0).
         assert np.allclose(
@@ -66,7 +67,7 @@ class TestSuccessor:
 
     def test_fixed_point_keeps_strategy(self, simple_game, toy_weights):
         learner = fp_learner(simple_game, toy_weights)
-        start = _initial_state(simple_game, learner, tau0=0.01)
+        start, _ = _initial_state(simple_game, learner, tau0=0.01)
         state = successor(start, (0, 0), simple_game)
         state.id = 1
         for _ in range(5):
@@ -75,7 +76,7 @@ class TestSuccessor:
 
     def test_rejects_malformed_action(self, simple_game, toy_weights):
         learner = fp_learner(simple_game, toy_weights)
-        start = _initial_state(simple_game, learner, tau0=0.01)
+        start, _ = _initial_state(simple_game, learner, tau0=0.01)
         with pytest.raises(IndexError):
             successor(start, (0, 2), simple_game)
         with pytest.raises(ValueError):
@@ -89,20 +90,35 @@ class TestSuccessor:
 
 class TestExploreStructure:
     def test_only_the_initial_state_keeps_a_strategy(self):
-        # Only the initial state mixes; every later state is read through
-        # its pure action, and a merge keeps ids and the action only.
+        # The first-step distribution is the chain's start and nothing
+        # else: a mixed initial state has no pure action, every later
+        # state is read through its pure action, and a merge keeps ids and
+        # the action only.
         game = complex_coordination(n=2)
         learner = initial_state("fp", game,
                                 random_initial_weights(game, [31, 0]))
         dtmc = exploration(game, learner, max_depth=10, tau0=1.0)
         assert dtmc.sink_id is not None and dtmc.merge_events
-        assert dtmc.state(dtmc.initial_id).strategy is not None
+        assert dtmc.state(dtmc.initial_id).pure_action is None
+        assert len(dtmc.start) == math.prod(game.action_counts)
+        assert sum(t.probability for t in dtmc.start) \
+            == pytest.approx(1.0, abs=1e-12)
         for state in dtmc.states:
             if state.id not in (dtmc.initial_id, dtmc.sink_id):
-                assert state.strategy is None, state.id
                 assert state.pure_action is not None
         for event in dtmc.merge_events:
             assert not any(isinstance(f, ExplorationState) for f in event)
+
+    def test_pure_initial_state_has_one_start_transition(self):
+        # A first step pure to within 1e-9 is the initial state's own pure
+        # action, fired with probability exactly 1.
+        game = complex_coordination(n=2)
+        learner = initial_state("fp", game,
+                                random_initial_weights(game, [31, 0]))
+        dtmc = exploration(game, learner, max_depth=10, tau0=1e-6)
+        action = dtmc.state(dtmc.initial_id).pure_action
+        assert action is not None
+        assert dtmc.start == [Transition(dtmc.start[0].target, 1.0, action)]
 
     def test_three_bsccs_on_coordination_game(
         self, simple_game, toy_weights

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import smcl
 from smcl import Game, estimates, initial_state, observe
-from smcl.learners import broadcast, expected_rewards, ordered_pairs
+from smcl.learners import (best_response_step, broadcast, expected_rewards,
+                           ordered_pairs)
 
 # Rows of the per-pair arrays: pair (0, 1) is row 0, pair (1, 0) row 1.
 PAIRS = list(enumerate(ordered_pairs(2)))
@@ -337,7 +338,9 @@ ARRAY_FIELDS = ("weights", "norms", "lams", "dweights", "dnorms")
 def test_batched_observe_equals_unbatched_rows(algorithm, game_name):
     # A batch row is stepped by the same float operations as the state on
     # its own, so they agree exactly; expected rewards go through another
-    # BLAS call and agree to rounding.
+    # BLAS call and agree to rounding, and each row's best response is the
+    # joint action the unbatched step picks.  The simulator steps batches
+    # with this kernel, the explorer single states.
     rng = np.random.default_rng(7)
     game = smcl.shapley() if game_name == "shapley" \
         else three_player_game(rng)
@@ -349,16 +352,20 @@ def test_batched_observe_equals_unbatched_rows(algorithm, game_name):
         actions = np.stack(
             [rng.integers(n, size=runs) for n in game.action_counts], axis=-1
         )
-        batch = observe(batch, game, actions)
-        rows = [observe(row, game, tuple(int(a) for a in action))
-                for row, action in zip(rows, actions)]
-        batch_rewards = expected_rewards(batch, game)
-        for r, row in enumerate(rows):
+        batch, batch_rewards, batch_choice = best_response_step(
+            batch, game, actions
+        )
+        steps = [best_response_step(row, game, tuple(int(a) for a in action))
+                 for row, action in zip(rows, actions)]
+        rows = [row for row, _, _ in steps]
+        for r, (row, rewards, choice) in enumerate(steps):
             for field in ARRAY_FIELDS:
                 assert np.array_equal(getattr(batch, field)[r],
                                       getattr(row, field)), field
-            for got, want in zip(batch_rewards, expected_rewards(row, game)):
+            for got, want in zip(batch_rewards, rewards):
                 assert np.allclose(got[r], want, rtol=0, atol=1e-14)
+            assert tuple(int(c[r]) for c in batch_choice) == choice
+            assert all(type(a) is int for a in choice)
 
 
 def test_observe_rejects_malformed_action(shapley_game):
@@ -383,7 +390,8 @@ def test_deleted_learner_forks_stay_deleted():
     # relation's parent-link fallback, its strategy comparison, the
     # per-state one-hot strategies and word replays, or a second copy of
     # its reward guards: the index's column sets, bucket class and reward
-    # direction, and the scalar guard loops.
+    # direction, and the scalar guard loops.  Nor must the reading of a
+    # pure action off a strategy, now part of the explorer's first step.
     import importlib
     import pkgutil
 
@@ -393,7 +401,7 @@ def test_deleted_learner_forks_stay_deleted():
                "_UNRESOLVED", "_strategies_equal", "replay_strategies",
                "_KeyColumns", "_Bucket", "_direction", "_shared_prefix_guard",
                "_executed_reward_not_dropped", "_initial_step_agrees",
-               "_disjoint_branches_agree"}
+               "_disjoint_branches_agree", "pure_action_of", "STRATEGY_TOL"}
     modules = [smcl] + [
         importlib.import_module(f"smcl.{info.name}")
         for info in pkgutil.iter_modules(smcl.__path__)
@@ -408,7 +416,8 @@ def test_deleted_general_graph_members_stay_deleted():
     # distribution; the general per-state transition lists, the successor
     # map rebuilt from them, the per-state record of the fired action, the
     # per-state sink flag beside ``Dtmc.sink_id`` and unused helpers must
-    # not come back.
+    # not come back.  Nor must the initial state's copy of its first-step
+    # distribution, which lives only in ``Dtmc.start``.
     from dataclasses import fields
 
     from smcl.dtmc import Dtmc, ExplorationState, Transition
@@ -417,7 +426,8 @@ def test_deleted_general_graph_members_stay_deleted():
     deleted = {
         Dtmc: {"functional_graph", "_functional_graph", "successors",
                "transitions", "out_probability_sum"},
-        ExplorationState: {"executed_from_parent", "is_sink", "sink"},
+        ExplorationState: {"executed_from_parent", "is_sink", "sink",
+                           "strategy", "positive_actions"},
         Game: {"num_joint_actions"},
     }
     for cls, names in deleted.items():
@@ -425,7 +435,7 @@ def test_deleted_general_graph_members_stay_deleted():
         assert not names & members, cls.__name__
     # The initial state is always state 0: no constructor field names it.
     assert "initial_id" not in {f.name for f in fields(Dtmc)}
-    states = [ExplorationState(id=i, strategy=None, learner=None, depth=0)
+    states = [ExplorationState(id=i, learner=None, depth=0)
               for i in range(2)]
     chain = Dtmc(states=states, successor=[-1, 1],
                  start=[Transition(1, 1.0, None)])

@@ -93,6 +93,72 @@ class TestRunCheck:
         assert str(payload["summary"]["runs"]) in table
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestNonFiniteSettings:
+    """inf or NaN in any float setting exits 2 before any run, whatever the
+    algorithm, so no report carries an Infinity or NaN."""
+
+    @pytest.mark.parametrize("options, error", [
+        (["--tau0", "inf"], "tau0 must be finite, got inf"),
+        (["--alpha", "nan", "--lambda0", "inf"],
+         "alpha must be finite, got nan"),
+        (["--lambda0", "inf"], "lambda0 must be finite, got inf"),
+        (["--gamma=-inf"], "gamma must be finite, got -inf"),
+    ])
+    def test_check_exits_2(self, options, error, simple_game_file, tmp_path,
+                           capsys):
+        # fp uses none of the learner settings; they are rejected anyway.
+        report = tmp_path / "r.json"
+        code = main(["check", "--game", str(simple_game_file), "--algo",
+                     "fp", "--random-inits", "1", *options,
+                     "--json", str(report)])
+        assert code == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_simulate_exits_2(self, simple_game_file, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = main(["simulate", "--game", str(simple_game_file), "--algo",
+                     "fp", "--iterations", "5", "--tau0", "inf",
+                     "--trace", str(trace)])
+        assert code == 2
+        assert "error: tau0 must be finite, got inf" \
+            in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_written_report_is_strict_json(self, simple_game_file, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["check", "--game", str(simple_game_file), "--algo",
+                     "afffp", "--random-inits", "2", "--tau0", "1.0",
+                     "--json", str(report)]) == 0
+        payload = json.loads(report.read_text(),
+                             parse_constant=_no_constant)
+        assert payload["config"]["tau0"] == 1.0
+
+    def test_report_writer_refuses_non_finite_numbers(
+        self, simple_game_file, tmp_path, monkeypatch
+    ):
+        # A NaN that got past the settings would stop the writer, not
+        # reach the file as invalid JSON.
+        original = smcl.cli.report_to_json
+
+        def with_nan(report, game):
+            payload = original(report, game)
+            payload["summary"]["convergence_probability"]["mean"] = \
+                float("nan")
+            return payload
+
+        monkeypatch.setattr(smcl.cli, "report_to_json", with_nan)
+        report = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["check", "--game", str(simple_game_file), "--algo", "fp",
+                  "--random-inits", "1", "--json", str(report)])
+        assert not report.exists()
+
+
 class TestCheckCommand:
     def test_fixed_init_run(
         self, simple_game_file, toy_weights_file, tmp_path, capsys

@@ -18,7 +18,7 @@ from reference_scan import ancestor_distances, chain_between
 def fp_chain(simple_game, toy_weights, word):
     """Initial state plus the states reached by executing ``word``."""
     learner = initial_state("fp", simple_game, toy_weights)
-    state = _initial_state(simple_game, learner, tau0=0.01)
+    state, _ = _initial_state(simple_game, learner, tau0=0.01)
     chain = [state]
     for k, action in enumerate(word):
         state = merge_candidate(state, action, simple_game)
@@ -99,7 +99,7 @@ class TestReplayStrategies:
         self, shapley_game, shapley_weights
     ):
         learner = initial_state("fp", shapley_game, shapley_weights)
-        state = _initial_state(shapley_game, learner, tau0=0.01)
+        state, _ = _initial_state(shapley_game, learner, tau0=0.01)
         entry = successor(state, (0, 0), shapley_game)
         entry.id = 1
         future = Future(entry, shapley_game)

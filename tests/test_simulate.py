@@ -145,6 +145,17 @@ class TestEmpiricalConvergence:
         assert result.unresolved == 0.0
         assert result.mean_terminal_rewards == (1.0, 1.0)
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_rejects_iterations_below_one(self, simple_game, toy_weights,
+                                          iterations):
+        # Caught at the boundary, as simulate() does: not a NaN-filled
+        # result or an error from deep inside numpy.
+        learner = initial_state("fp", simple_game, toy_weights)
+        with pytest.raises(ValueError,
+                           match="iterations must be at least 1"):
+            empirical_convergence(simple_game, learner, runs=4,
+                                  iterations=iterations, seed=0)
+
     def test_batch_engine_matches_per_run_simulate(
         self, simple_game, toy_weights
     ):
