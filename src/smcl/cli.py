@@ -125,7 +125,12 @@ def _cmd_check(args) -> int:
     payload = report_to_json(report, game)
     print(render_table(payload))
     if args.json:
-        atomic_write_text(args.json, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError as exc:  # a non-finite number in the report
+            print(f"error: {exc}; no JSON written", file=sys.stderr)
+            return 2
+        atomic_write_text(args.json, text + "\n")
     if args.dot:
         first = payload["runs"][0]
         if not first["ok"]:

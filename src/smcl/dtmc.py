@@ -52,9 +52,10 @@ class ExplorationState:
     # Per player, argmax of (expected rewards here - at the predecessor);
     # set by ``explorer.merge_candidate``, only where the relation reads it.
     reward_gain_argmax: tuple[int, ...] | None = None
-    # The state's best-response future (``similarity.Future``) while the
-    # explorer still needs it: shared by the merge attempts against a
-    # candidate, and its first step becomes the adopted state's successor.
+    # During a merging exploration, the best-response trajectory of the
+    # state's first-step branch (``similarity.Future``), shared by every
+    # state on the branch: successors and merge replays read their steps
+    # from it.
     future: object | None = field(default=None, repr=False, compare=False)
 
 

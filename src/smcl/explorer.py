@@ -21,7 +21,7 @@ Where a candidate may merge is kept in a merge index:
   state is pure and has one child, so the tree is the initial state plus
   one path per first-step branch.  An entry on the candidate's branch is an
   ancestor at distance ``candidate.depth - entry.depth``; any other entry
-  has no path.  A path replay's chain is a slice of the branch.
+  has no path.
 * **A pre-filter** tests a whole bucket at once against the preconditions
   of ``similar()``: the shared-prefix guard, the parent's executed reward,
   the no-path predecessor and reward-direction checks, and the first step
@@ -31,11 +31,13 @@ Where a candidate may merge is kept in a merge index:
   rejects.  Small buckets skip it.  The survivors go to ``similar()``,
   newest first, and the first acceptance wins, exactly as a scan of the
   whole bucket would decide.
-* **One future per candidate** (``similarity.Future``): path replays from
-  the candidate and its side of a lockstep replay follow the candidate's
-  own best-response trajectory, so all merge attempts share one lazily
-  extended list of steps.  If the candidate is adopted, ``successor()``
-  reuses its first step; the rest is dropped.
+* **One trajectory per branch** (``similarity.Future``): past the first
+  step a branch is one deterministic best-response trajectory.  A first
+  step's candidate starts it, and every later candidate and adopted state
+  on the branch shares it: ``successor()`` reads the next step from it,
+  a path replay reads the path and the candidate's replay from it, and each
+  side of a lockstep replay is stepped once per branch.  The trajectories
+  are dropped when exploration ends.
 """
 
 from __future__ import annotations
@@ -121,11 +123,9 @@ def successor(
     carries no id (-1) until the explorer adopts it.
     """
     action = tuple(int(a) for a in action)
-    future = state.future
-    if (future is not None and len(future.steps) > 1
-            and action == state.pure_action):
-        # The state's own action: valid, and observed by its future.
-        learner, rewards, choice = future.steps[1]
+    if state.future is not None and action == state.pure_action:
+        # The state's own action: valid, and the next step of its branch.
+        learner, rewards, choice = state.future.after(state, 1)
     else:
         learner, rewards, choice = learners.best_response_step(
             state.learner, game, action
@@ -210,9 +210,8 @@ _SMALL_BUCKET = 4
 class _MergeIndex:
     """Buckets, branches and the bucket pre-filter (see the module doc)."""
 
-    def __init__(self, game: Game, get_state):
+    def __init__(self, game: Game):
         counts = game.action_counts
-        self.get_state = get_state
         self.width = sum(counts)
         self.strides = list(accumulate(counts[:0:-1], lambda a, b: a * b,
                                        initial=1))[::-1]
@@ -244,12 +243,6 @@ class _MergeIndex:
              self.code(state.predecessor_pure_action)),
             rewards,
         )
-
-    def path(self, s1: ExplorationState, s2: ExplorationState) -> list:
-        """States from the ancestor s1 down to s2 on s2's branch."""
-        rows = self.branches[self.branch_of[s1.id]]
-        ids = rows.ints[s1.depth - 1:s2.depth - 1, _ID].tolist()
-        return [self.get_state(i) for i in ids] + [s2]
 
     def survivors(self, candidate: ExplorationState,
                   ctx: SimilarityContext) -> list:
@@ -305,7 +298,7 @@ class _MergeIndex:
         if longer:
             # Longer paths: replay step 1 is the candidate's first future
             # step, checked against each entry's child on the branch.
-            _, rewards, step = candidate.future[1]
+            _, rewards, step = candidate.future.after(candidate, 1)
             children = self.branches[self.branch_of[candidate.parent_id]]
             child = depth[:longer]  # a child's row is its parent's depth
             executed = ctx.columns(step).executed
@@ -328,10 +321,9 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
     states = [root]
     index = ctx = None
     if cfg.merge_enabled:
-        index = _MergeIndex(game, states.__getitem__)
-        ctx = SimilarityContext(
-            game=game, algorithm=initial_learner.algorithm, path=index.path
-        )
+        index = _MergeIndex(game)
+        ctx = SimilarityContext(game=game,
+                                algorithm=initial_learner.algorithm)
     level = [(0, action, p) for action, p in first]
     successor_ids = [-1]
     start: list[Transition] = []
@@ -348,13 +340,15 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
                 candidate = successor(state, action, game)
             else:
                 candidate = merge_candidate(state, action, game)
-                candidate.future = Future(candidate, game)
+                # A first step starts its branch's trajectory; a later
+                # candidate lies on its parent's.
+                candidate.future = (Future(candidate, game) if sid == 0
+                                    else state.future)
                 for tid, distance in index.survivors(candidate, ctx):
                     if similar(states[tid], candidate, ctx,
                                distance=distance):
                         target = tid
                         merge_events.append(MergeEvent(sid, action, tid))
-                        candidate.future = None
                         break
             if target is None:
                 target = _next_id(states, cfg.state_cap)
@@ -363,14 +357,11 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
                 successor_ids.append(-1)
                 if index is not None:
                     index.add(candidate)
-                    # Keep only the step successor() will reuse.
-                    del candidate.future.steps[2:]
                 adopted.append((target, candidate.pure_action, 1.0))
             if sid == 0:
                 start.append(Transition(target, prob, action))
             else:
                 successor_ids[sid] = target
-                state.future = None
         level = adopted
         depth += 1
         if depth >= cfg.max_depth and level:
@@ -379,9 +370,11 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
             successor_ids.append(sink_id)
             for sid, _, _ in level:
                 successor_ids[sid] = sink_id
-                states[sid].future = None
             break
 
+    if index is not None:
+        for state in states:
+            state.future = None
     return Dtmc(
         states=states,
         successor=successor_ids,

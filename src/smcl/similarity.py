@@ -44,11 +44,12 @@ stand for bit for bit, as IEEE rounding is symmetric in sign.
 
 ``similar()`` is the one definition of the relation.  The explorer calls it
 only for the bucket entries its merge index has not already ruled out (see
-``explorer``), passing the generation-tree distance, a path provider in the
-context, and the candidate's ``Future``: the later state's best-response
-trajectory, which every path replay and lockstep replay from that state
-reads instead of re-observing it.  A state without a future gets a fresh
-one, with the same result.
+``explorer``), passing the generation-tree distance.  Both replays read the
+two states' ``Future``: the best-response trajectory of the first-step branch
+each state lies on.  A path replay's actual path is the earlier state's own
+future, and a lockstep replay steps each side once per branch, however many
+candidates it is compared with.  A state without a future gets a fresh one,
+with the same result.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class SimilarityContext:
 
     game: Game
     algorithm: str  # the learner state's tag: "fp" | "gfp" | "afffp"
-    # Generation path from an ancestor down to a state, both ends included.
-    path: Callable[[ExplorationState, ExplorationState],
-                   list[ExplorationState]]
     tol: float = DEFAULT_TOL
 
     @cached_property
@@ -120,9 +117,6 @@ class ActionColumns:
 
     def __init__(self, game: Game, action: tuple[int, ...],
                  best_raw_reply: tuple[np.ndarray, ...], direction: float):
-        # The context's values, not the context: it caches this object, and
-        # a cycle would keep the chain its path provider reads alive until
-        # the collector runs.
         self.game, self.action = game, action
         self.best_raw_reply, self.direction = best_raw_reply, direction
 
@@ -183,19 +177,20 @@ def moved_against(lap1, lap2, direction: float, tol: float):
 
 
 class Future:
-    """A pure state's own best-response trajectory, extended on demand.
+    """A best-response trajectory from a pure state, extended on demand.
 
     ``self[k]`` is ``(learner, expected_rewards, pure_action)`` after the
-    state and its successors have played k steps; ``self[0]`` is the state
-    itself.  Path replays from the state and its side of a lockstep replay
-    both follow this trajectory, so one future serves every merge attempt
-    against the same candidate.
+    anchor state and its successors have played k steps; ``self[0]`` is the
+    anchor itself, and ``after(state, k)`` is k steps past any state on the
+    trajectory.  Past the first step every state lies on the trajectory of
+    its first-step branch, so the explorer keeps one future per branch: the
+    branch's successors and every replay from its states read it.
     """
 
-    __slots__ = ("game", "steps")
+    __slots__ = ("game", "depth", "steps")
 
     def __init__(self, state: ExplorationState, game: Game):
-        self.game = game
+        self.game, self.depth = game, state.depth
         self.steps = [
             (state.learner, state.expected_rewards, state.pure_action)
         ]
@@ -209,54 +204,44 @@ class Future:
             )
         return steps[k]
 
+    def after(self, state: ExplorationState, k: int):
+        """``self[k]`` counted from ``state``, which lies on this
+        trajectory."""
+        return self[state.depth - self.depth + k]
+
 
 def _future_of(state: ExplorationState, game: Game) -> Future:
     return state.future if state.future is not None else Future(state, game)
 
 
-def _path_replay_agrees(s1, s2, ctx: SimilarityContext) -> bool:
-    # Replay the path word from s2 and compare against the actual path step
-    # by step: same strategies, and the step action's expected reward damped
-    # (fp) or strengthened (gfp/afffp) relative to one lap earlier.
-    # The word starts with s1's action, which is s2's own, and every later
-    # letter must equal the replayed action: the replay is s2's future.
+def _replays_agree(s1, s2, steps: int, ctx: SimilarityContext,
+                   rewards: bool) -> bool:
+    """Play both states forward together for ``steps`` steps: both must
+    play the same action at every step.  With ``rewards``, each step
+    action's expected reward must also have moved ``ctx.direction``'s way
+    from s1's step to s2's: damped (fp) or strengthened (gfp/afffp)
+    relative to one lap earlier.
+
+    On a path s1 is s2's ancestor, so s1's own future is the path and s2's
+    is the replay of the path's joint-action word from s2.
+    """
     direction, tol = ctx.direction, ctx.tol
-    chain = ctx.path(s1, s2)
-    future = _future_of(s2, ctx.game)
-    for j in range(1, len(chain)):
-        _, rewards, replayed = future[j]
-        step = chain[j].pure_action
+    f1, f2 = _future_of(s1, ctx.game), _future_of(s2, ctx.game)
+    for j in range(1, steps + 1):
+        _, lap1, step = f1.after(s1, j)
+        _, lap2, replayed = f2.after(s2, j)
         if replayed != step:
             return False
-        lap1 = chain[j].expected_rewards
-        for i, a in enumerate(step):
-            if moved_against(lap1[i][a], rewards[i][a], direction, tol):
-                return False
+        if rewards:
+            for i, a in enumerate(step):
+                if moved_against(lap1[i][a], lap2[i][a], direction, tol):
+                    return False
     return True
 
 
 # Bound on the lockstep-replay window for the no-path case; divergence of
 # non-equivalent branches shows up within their generation lag.
 MAX_LOCKSTEP_HORIZON = 512
-
-
-def _futures_agree(s1, s2, horizon: int, ctx: SimilarityContext) -> bool:
-    """Play both states forward together; strategies must stay identical.
-
-    Both start from the same action and play it as long as they agree, so
-    s2's side is its own future.
-    """
-    game = ctx.game
-    future = _future_of(s2, game)
-    action = s1.pure_action
-    learner1 = s1.learner
-    for k in range(1, horizon + 1):
-        learner1, _, action = learners.best_response_step(
-            learner1, game, action
-        )
-        if action != future[k][2]:
-            return False
-    return True
 
 
 def similar(s1: ExplorationState, s2: ExplorationState,
@@ -288,7 +273,7 @@ def similar(s1: ExplorationState, s2: ExplorationState,
     if distance == 0:
         return True
     if distance is not None and distance > 1:
-        return _path_replay_agrees(s1, s2, ctx)
+        return _replays_agree(s1, s2, distance, ctx, rewards=True)
     # No path: equal predecessors.  Comparing actions is exact: a chain's
     # one mixed state is its initial state, and its children have None here.
     if (distance is None
@@ -302,4 +287,4 @@ def similar(s1: ExplorationState, s2: ExplorationState,
     if not disjoint_direction_holds(r1, r2, columns, ctx.tol):
         return False
     horizon = min(max(2 * (s2.depth - s1.depth), 2), MAX_LOCKSTEP_HORIZON)
-    return _futures_agree(s1, s2, horizon, ctx)
+    return _replays_agree(s1, s2, horizon, ctx, rewards=False)

@@ -2,16 +2,20 @@
 
 Buckets hold entries by executed joint action only, generation-tree
 distances and paths come from walking the candidate's parent links, and
-the relation is asked about every bucket entry, newest first.  No future
-is shared and no entry is skipped, so the chain this builds is what the
-relation alone defines; the indexed explorer must reproduce it exactly.
+the relation is asked about every bucket entry, newest first.  No
+trajectory is shared and no entry is skipped, so the chain this builds is
+what the relation alone defines; the indexed explorer must reproduce it
+exactly.
 The scan keeps every state's transitions as a list of its own, the general
 form, so the explorer's functional graph is checked against it state by
 state; it enumerates the initial state's first steps itself.
 
 The scan decides with ``reference_similar``, the relation written with one
 scalar loop per guard, independently of the array guards that
-``smcl.similarity`` shares between ``similar()`` and the merge index.
+``smcl.similarity`` shares between ``similar()`` and the merge index.  Its
+replays step both sides from the states themselves and compare a path
+replay with the path read off the parent links, independently of the
+best-response trajectories that ``similar()`` reads.
 
 With ``index_check`` set, ``similar()`` must agree with
 ``reference_similar`` on every (entry, candidate) pair, and a
@@ -27,17 +31,9 @@ import numpy as np
 
 from smcl.dtmc import Dtmc, ExplorationState, MergeEvent, Transition
 from smcl.explorer import _MergeIndex, merge_candidate
-from smcl.game import smooth_best_response
-from smcl.learners import estimates, expected_rewards
-from smcl.similarity import (
-    DEFAULT_TOL,
-    MAX_LOCKSTEP_HORIZON,
-    Future,
-    SimilarityContext,
-    _future_of,
-    _futures_agree,
-    similar,
-)
+from smcl.game import argmax_with_ties, smooth_best_response
+from smcl.learners import estimates, expected_rewards, observe
+from smcl.similarity import DEFAULT_TOL, Future, SimilarityContext, similar
 
 
 # The merge relation with a scalar loop per guard.
@@ -82,17 +78,29 @@ def _executed_reward_not_dropped(s1, s2, ctx: SimilarityContext) -> bool:
     return True
 
 
-def _path_replay_agrees(s1, s2, ctx: SimilarityContext) -> bool:
+def _best_responses(state, game):
+    """The state's best-response run: per step, the expected rewards and
+    the joint action played, stepped from the state's own learner as
+    ``conftest.deterministic_playout`` does."""
+    learner, action = state.learner, state.pure_action
+    while True:
+        learner = observe(learner, game, action)
+        rewards = expected_rewards(learner, game)
+        action = tuple(argmax_with_ties(r) for r in rewards)
+        yield rewards, action
+
+
+def _path_replay_agrees(s1, s2, ctx: SimilarityContext, states) -> bool:
     # Replay the path word from s2 and compare against the actual path step
     # by step: same strategies, and the step action's expected reward damped
     # (fp) or strengthened (gfp/afffp) relative to one lap earlier.
     # The word starts with s1's action, which is s2's own, and every later
-    # letter must equal the replayed action: the replay is s2's future.
+    # letter must equal the replayed action: the replay is s2's own run.
     game = ctx.game
-    chain = ctx.path(s1, s2)
-    future = _future_of(s2, game)
+    chain = chain_between(s1, s2, states)
+    replay = _best_responses(s2, game)
     for j in range(1, len(chain)):
-        _, rewards, replayed = future[j]
+        rewards, replayed = next(replay)
         step = chain[j].pure_action
         if replayed != step:
             return False
@@ -131,8 +139,14 @@ def _disjoint_branches_agree(s1, s2, ctx: SimilarityContext) -> bool:
                     else r2[a] <= r1[a] + ctx.tol
             if not ok:
                 return False
+    # Play both states forward in lockstep; strategies must stay identical.
     horizon = min(max(2 * (s2.depth - s1.depth), 2), MAX_LOCKSTEP_HORIZON)
-    return _futures_agree(s1, s2, horizon, ctx)
+    sides = zip(_best_responses(s1, ctx.game), _best_responses(s2, ctx.game))
+    for _ in range(horizon):
+        (_, a1), (_, a2) = next(sides)
+        if a1 != a2:
+            return False
+    return True
 
 
 def reference_similar(
@@ -140,11 +154,13 @@ def reference_similar(
     s2: ExplorationState,
     ctx: SimilarityContext,
     distance: int | None,
+    states,
 ) -> bool:
     """Whether the earlier state s1 subsumes the later state s2.
 
     ``distance`` is the generation-tree distance from s1 down to s2: 0 for
-    the same state, ``None`` when no path exists.
+    the same state, ``None`` when no path exists.  ``states`` lists the
+    states by id, for walking a path's parent links.
     """
     # States without a predecessor (the initial state and the sink) carry
     # no reward history to compare; they never merge.
@@ -163,7 +179,7 @@ def reference_similar(
     if distance == 1:
         return _executed_reward_not_dropped(s1, s2, ctx)
     if distance is not None:
-        return _path_replay_agrees(s1, s2, ctx)
+        return _path_replay_agrees(s1, s2, ctx, states)
     return _disjoint_branches_agree(s1, s2, ctx)
 
 
@@ -248,12 +264,9 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
     root, first = reference_root(game, initial_learner, cfg)
     states = [root]
     ctx = SimilarityContext(
-        game=game,
-        algorithm=initial_learner.algorithm,
-        path=lambda s1, s2: chain_between(s1, s2, states),
-        tol=tol,
+        game=game, algorithm=initial_learner.algorithm, tol=tol
     )
-    index = _MergeIndex(game, states.__getitem__) if index_check else None
+    index = _MergeIndex(game) if index_check else None
     transitions: dict[int, list[Transition]] = {}
     merge_events: list[MergeEvent] = []
     buckets: dict[tuple[int, ...], list[int]] = {}
@@ -279,7 +292,7 @@ def reference_explore(game, initial_learner, cfg, index_check=False,
                     for tid in reversed(bucket):
                         entry, distance = states[tid], distances.get(tid)
                         ok = reference_similar(entry, candidate, ctx,
-                                               distance)
+                                               distance, states)
                         if index is not None:
                             assert similar(entry, candidate, ctx,
                                            distance) == ok, (tid, sid)

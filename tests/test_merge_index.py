@@ -170,6 +170,31 @@ def observe_calls(monkeypatch, game, learners, max_depth):
     return calls
 
 
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_no_learner_state_is_observed_twice(algo, monkeypatch):
+    # Past the first step every branch is one best-response trajectory,
+    # stepped once: successors and both sides of every path and lockstep
+    # replay read it, so no learner state observes the same action twice.
+    game = complex_coordination(n=2)
+    original = learners_mod.observe
+    observed = []  # holds every observed state, so ids are not reused
+
+    def recording(state, game, executed):
+        observed.append((state, tuple(map(int, executed))))
+        return original(state, game, executed)
+
+    monkeypatch.setattr(learners_mod, "observe", recording)
+    for k in range(4):
+        learner = initial_state(algo, game,
+                                random_initial_weights(game, [31, k]),
+                                **ALGOS[algo])
+        observed.clear()
+        explore(game, learner, ExploreConfig(max_depth=300, tau0=1.0))
+        keys = [(id(state), executed) for state, executed in observed]
+        repeats = len(keys) - len(set(keys))
+        assert repeats == 0, k
+
+
 def test_afffp_observe_count_grows_about_linearly_with_depth(monkeypatch):
     # afffp's miscoordination branches run to the depth bound, one state
     # per level; their merge attempts must not re-observe the whole path

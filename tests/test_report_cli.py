@@ -139,10 +139,10 @@ class TestNonFiniteSettings:
         assert payload["config"]["tau0"] == 1.0
 
     def test_report_writer_refuses_non_finite_numbers(
-        self, simple_game_file, tmp_path, monkeypatch
+        self, simple_game_file, tmp_path, monkeypatch, capsys
     ):
-        # A NaN that got past the settings would stop the writer, not
-        # reach the file as invalid JSON.
+        # A NaN that got past the settings is an error line and exit 2,
+        # not invalid JSON in the file.
         original = smcl.cli.report_to_json
 
         def with_nan(report, game):
@@ -153,9 +153,11 @@ class TestNonFiniteSettings:
 
         monkeypatch.setattr(smcl.cli, "report_to_json", with_nan)
         report = tmp_path / "r.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            main(["check", "--game", str(simple_game_file), "--algo", "fp",
-                  "--random-inits", "1", "--json", str(report)])
+        code = main(["check", "--game", str(simple_game_file), "--algo",
+                     "fp", "--random-inits", "1", "--json", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not JSON compliant" in err
         assert not report.exists()
 
 

@@ -12,7 +12,7 @@ from smcl.explorer import _initial_state, merge_candidate
 from smcl.similarity import Future
 
 from conftest import brute_force_reach, playout_class
-from reference_scan import ancestor_distances, chain_between
+from reference_scan import ancestor_distances
 
 
 def fp_chain(simple_game, toy_weights, word):
@@ -25,14 +25,6 @@ def fp_chain(simple_game, toy_weights, word):
         state.id = k + 1  # stand-in ids so ancestry walks terminate
         chain.append(state)
     return chain
-
-
-def context(game, algorithm, chain):
-    return SimilarityContext(
-        game=game,
-        algorithm=algorithm,
-        path=lambda s1, s2: chain_between(s1, s2, chain),
-    )
 
 
 def similar_in(chain, s1, s2, ctx):
@@ -51,20 +43,20 @@ class TestSimilarOnCoordinationCycle:
         chain = fp_chain(
             simple_game, toy_weights, [(0, 1), (1, 0), (0, 1)]
         )
-        ctx = context(simple_game, "fp", chain)
+        ctx = SimilarityContext(game=simple_game, algorithm="fp")
         assert chain[1].pure_action == (1, 0)
         assert chain[3].pure_action == (1, 0)
         assert similar_in(chain, chain[1], chain[3], ctx)
 
     def test_reflexive_on_non_initial_states(self, simple_game, toy_weights):
         chain = fp_chain(simple_game, toy_weights, [(0, 1), (1, 0)])
-        ctx = context(simple_game, "fp", chain)
+        ctx = SimilarityContext(game=simple_game, algorithm="fp")
         for state in chain[1:]:
             assert similar_in(chain, state, state, ctx)
 
     def test_initial_state_never_similar(self, simple_game, toy_weights):
         chain = fp_chain(simple_game, toy_weights, [(0, 1)])
-        ctx = context(simple_game, "fp", chain)
+        ctx = SimilarityContext(game=simple_game, algorithm="fp")
         assert not similar_in(chain, chain[0], chain[1], ctx)
         assert not similar_in(chain, chain[0], chain[0], ctx)
 
@@ -72,7 +64,7 @@ class TestSimilarOnCoordinationCycle:
         self, simple_game, toy_weights
     ):
         chain = fp_chain(simple_game, toy_weights, [(0, 1), (1, 0)])
-        ctx = context(simple_game, "fp", chain)
+        ctx = SimilarityContext(game=simple_game, algorithm="fp")
         assert chain[1].pure_action != chain[2].pure_action
         assert not similar_in(chain, chain[1], chain[2], ctx)
 
@@ -82,7 +74,7 @@ class TestSimilarOnCoordinationCycle:
         # The state straight after the smooth step must not absorb the one
         # two steps later: their reward movements disagree.
         chain = fp_chain(simple_game, toy_weights, [(1, 0), (0, 1), (0, 1)])
-        ctx = context(simple_game, "fp", chain)
+        ctx = SimilarityContext(game=simple_game, algorithm="fp")
         assert chain[1].pure_action == chain[2].pure_action == (0, 1)
         assert not similar_in(chain, chain[1], chain[2], ctx)
 
