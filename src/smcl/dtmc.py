@@ -12,10 +12,17 @@ learner parameters, a state keeps what the merge relation compares: its
 expected rewards, the generating parent, the parent's pure action and,
 while exploration merges, the per-player argmax of the expected-reward gain
 over the parent.
+
+A merging exploration keeps its states in a list.  A chain explored with
+merging off keeps each level of its first-step branches as batch arrays
+instead, and its ``Dtmc.states`` is a read-only view that builds a state
+from its level when it is read; either way ``Dtmc.states`` is a sequence
+indexed by state id.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -85,7 +92,7 @@ class Dtmc:
     one.
     """
 
-    states: list[ExplorationState]
+    states: Sequence[ExplorationState]
     successor: list[int]
     start: list[Transition]
     sink_id: int | None = None

@@ -38,12 +38,23 @@ Where a candidate may merge is kept in a merge index:
   a path replay reads the path and the candidate's replay from it, and each
   side of a lockstep replay is stepped once per branch.  The trajectories
   are dropped when exploration ends.
+
+With merging off no candidate is ever folded, so the chain is regular: the
+initial state, then each level's k first-step branches in branch order,
+then the sink.  Branch b at depth d is state ``1 + (d - 1) * k + b`` and
+moves to the state k ids later, and the last level moves to the sink.
+Exploration then steps all k branches as one batched
+``learners.best_response_playout``, one step per level, and keeps each
+level's learner batch, expected rewards and actions as arrays.  The chain's
+``states`` is a read-only view that builds a state from its level when it
+is read.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import accumulate
@@ -98,7 +109,9 @@ class ExploreConfig:
         if not self.tau0 > 0:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
         if not 0.0 <= self.prob_floor < 1.0:
-            raise ValueError("prob_floor must be in [0, 1)")
+            raise ValueError(
+                f"prob_floor must be in [0, 1), got {self.prob_floor}"
+            )
         # Every float setting, a subclass's too: inf passes range checks.
         for f in fields(self):
             value = getattr(self, f.name)
@@ -106,12 +119,20 @@ class ExploreConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def _check_cap(count: int, cap: int) -> None:
+    """Raise if a chain of ``count`` states outgrows the state cap.
+
+    States are counted as if adopted one at a time, so the state that
+    outgrows the cap is always state number ``cap + 1``.
+    """
+    if count > cap:
+        raise StateBudgetError(cap + 1, cap)
+
+
 def _next_id(states: list, cap: int) -> int:
     """The id of the next state to adopt, within the state cap."""
-    sid = len(states)
-    if sid + 1 > cap:
-        raise StateBudgetError(sid + 1, cap)
-    return sid
+    _check_cap(len(states) + 1, cap)
+    return len(states)
 
 
 def successor(
@@ -310,6 +331,73 @@ class _MergeIndex:
         return ok
 
 
+class _LevelStates(Sequence):
+    """The states of a chain explored without merging (see the module doc).
+
+    ``levels[d - 1]`` is ``(learner batch, expected rewards, actions)`` of
+    the k branches at depth d, as ``learners.best_response_playout`` yields
+    it.  Reading a state builds it from its branch's row.
+    """
+
+    def __init__(self, root: ExplorationState, levels: list, k: int):
+        self.root, self.levels, self.k = root, levels, k
+        # The initial state, every level and, after any level, the sink.
+        self.size = 1 + len(levels) * k + (1 if levels else 0)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, sid: int) -> ExplorationState:
+        sid = range(self.size)[sid]
+        if sid == 0:
+            return self.root
+        level, branch = divmod(sid - 1, self.k)
+        if level == len(self.levels):
+            return ExplorationState(sid, None, level)  # the sink
+        learner, rewards, actions = self.levels[level]
+        if level:
+            parent_id = sid - self.k
+            predecessor = tuple(self.levels[level - 1][2][branch].tolist())
+        else:
+            parent_id, predecessor = 0, self.root.pure_action
+        return ExplorationState(
+            id=sid,
+            learner=learners.row(learner, branch),
+            depth=level + 1,
+            parent_id=parent_id,
+            expected_rewards=tuple(r[branch] for r in rewards),
+            pure_action=tuple(actions[branch].tolist()),
+            predecessor_pure_action=predecessor,
+        )
+
+
+def _expand(game: Game, root: ExplorationState, first, cfg) -> Dtmc:
+    """The chain without merging, one batched step per level."""
+    k = len(first)
+    levels = []
+    if k:
+        steps = learners.best_response_playout(
+            learners.broadcast(root.learner, (k,)), game,
+            np.array([action for action, _ in first]),
+        )
+        for depth in range(1, cfg.max_depth + 1):
+            _check_cap(1 + depth * k, cfg.state_cap)
+            levels.append(next(steps))
+        _check_cap(2 + cfg.max_depth * k, cfg.state_cap)
+    states = _LevelStates(root, levels, k)
+    sink_id = len(states) - 1 if levels else None
+    successor_ids = [-1]
+    if levels:
+        successor_ids += [*range(1 + k, sink_id), *[sink_id] * (k + 1)]
+    return Dtmc(
+        states=states,
+        successor=successor_ids,
+        start=[Transition(1 + b, p, action)
+               for b, (action, p) in enumerate(first)],
+        sink_id=sink_id,
+    )
+
+
 def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
     """Build the chain of reachable learning states, level by level."""
     if not learners.matches(initial_learner, game):
@@ -318,12 +406,11 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         )
     root, first = _initial_state(game, initial_learner, cfg.tau0,
                                  cfg.prob_floor)
+    if not cfg.merge_enabled:
+        return _expand(game, root, first, cfg)
     states = [root]
-    index = ctx = None
-    if cfg.merge_enabled:
-        index = _MergeIndex(game)
-        ctx = SimilarityContext(game=game,
-                                algorithm=initial_learner.algorithm)
+    index = _MergeIndex(game)
+    ctx = SimilarityContext(game=game, algorithm=initial_learner.algorithm)
     level = [(0, action, p) for action, p in first]
     successor_ids = [-1]
     start: list[Transition] = []
@@ -336,27 +423,22 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
         for sid, action, prob in level:
             state = states[sid]
             target = None
-            if index is None:
-                candidate = successor(state, action, game)
-            else:
-                candidate = merge_candidate(state, action, game)
-                # A first step starts its branch's trajectory; a later
-                # candidate lies on its parent's.
-                candidate.future = (Future(candidate, game) if sid == 0
-                                    else state.future)
-                for tid, distance in index.survivors(candidate, ctx):
-                    if similar(states[tid], candidate, ctx,
-                               distance=distance):
-                        target = tid
-                        merge_events.append(MergeEvent(sid, action, tid))
-                        break
+            candidate = merge_candidate(state, action, game)
+            # A first step starts its branch's trajectory; a later
+            # candidate lies on its parent's.
+            candidate.future = (Future(candidate, game) if sid == 0
+                                else state.future)
+            for tid, distance in index.survivors(candidate, ctx):
+                if similar(states[tid], candidate, ctx, distance=distance):
+                    target = tid
+                    merge_events.append(MergeEvent(sid, action, tid))
+                    break
             if target is None:
                 target = _next_id(states, cfg.state_cap)
                 candidate.id = target
                 states.append(candidate)
                 successor_ids.append(-1)
-                if index is not None:
-                    index.add(candidate)
+                index.add(candidate)
                 adopted.append((target, candidate.pure_action, 1.0))
             if sid == 0:
                 start.append(Transition(target, prob, action))
@@ -372,9 +454,8 @@ def explore(game: Game, initial_learner, cfg: ExploreConfig) -> Dtmc:
                 successor_ids[sid] = sink_id
             break
 
-    if index is not None:
-        for state in states:
-            state.future = None
+    for state in states:
+        state.future = None
     return Dtmc(
         states=states,
         successor=successor_ids,

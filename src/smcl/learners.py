@@ -18,9 +18,12 @@ row per independent run (``broadcast`` makes one from a single state).
 ``observe``, ``estimates`` and ``expected_rewards`` work along the trailing
 axes, and so do the two learning steps: ``smooth_strategy``, the first
 iteration's softmax over expected rewards, and ``best_response_step``,
-every later one.  The explorer steps one unbatched state with them and the
-simulator all its playouts at once.  States are value-semantic snapshots:
-``observe`` never mutates, it returns the successor state.
+every later one; ``best_response_playout`` repeats the second, feeding
+each step's choices back in.  The simulator steps all its playouts at once
+with it, the explorer all the first-step branches of a chain that does not
+merge, and a merging explorer one unbatched state at a time.  States are
+value-semantic snapshots: ``observe`` never mutates, it returns the
+successor state.
 
 FP counts observed actions.  Starting from weights normalised to sum 1 per
 pair, each observation adds 1 to the observed action's weight; the norm is
@@ -45,7 +48,9 @@ after which lambda' is stored for the next step (Smyrnakis & Leslie,
 "Dynamic opponent modelling in fictitious play", Computer Journal 2010).
 
 Every indicator is added as an exact one-hot array (``x + 0.0 == x``), so a
-batch row is bit-identical to the same state stepped on its own.
+batch row's learner arrays are bit-identical to the same state stepped on
+its own; its expected rewards go through another BLAS call and agree to
+rounding.
 """
 
 from __future__ import annotations
@@ -211,6 +216,12 @@ def broadcast(state: LearnerState, batch_shape) -> LearnerState:
     })
 
 
+def row(state: LearnerState, index) -> LearnerState:
+    """One state of a batch with one batch axis, as views."""
+    return state._replace(**{name: getattr(state, name)[index]
+                             for name in _ARRAYS})
+
+
 def matches(state: LearnerState, game) -> bool:
     """Whether an unbatched state has the game's pairs and action counts."""
     real = _layout(game.action_counts).real
@@ -329,3 +340,17 @@ def best_response_step(state: LearnerState, game, executed):
     state = observe(state, game, executed)
     rewards = expected_rewards(state, game)
     return state, rewards, tuple(games.argmax_with_ties(r) for r in rewards)
+
+
+def best_response_playout(state: LearnerState, game, executed):
+    """Yield ``best_response_step``'s ``(state, expected_rewards, action)``
+    for ever, each step observing the action chosen by the step before.
+
+    ``state`` is a batch and ``executed`` the integer array (..., num_players)
+    of the joint actions it observes first; each yielded action is such an
+    array.
+    """
+    while True:
+        state, rewards, chosen = best_response_step(state, game, executed)
+        executed = np.stack(chosen, axis=-1)
+        yield state, rewards, executed

@@ -102,10 +102,9 @@ def check_single(config: RunConfig, game: Game, weights,
         record.error = f"{type(exc).__name__}: {exc}"
         return record, None
     record.states = dtmc.num_states
-    sink = dtmc.sink_id
-    record.depth_last_state = max(
-        (s.depth for s in dtmc.states if s.id != sink), default=0
-    )
+    # Ids follow BFS order, and the sink, if any, is the last one.
+    last = dtmc.num_states - (2 if dtmc.truncated else 1)
+    record.depth_last_state = dtmc.state(last).depth
     record.depth_last_merge = max(
         (dtmc.state(e.source_id).depth + 1 for e in dtmc.merge_events),
         default=0,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -59,12 +60,10 @@ def _playout(game: Game, initial, iterations: int, tau0: float,
         for i, dist in enumerate(learners.smooth_strategy(rewards, tau0))
     ], axis=-1)
     yield state, rewards, action
-    for _ in range(1, iterations):
-        state, rewards, chosen = learners.best_response_step(
-            state, game, action
-        )
-        action = np.stack(chosen, axis=-1)
-        yield state, rewards, action
+    steps = learners.best_response_playout(state, game, action)
+    # Hold no first-step array while the batch plays on.
+    del state, rewards, action
+    yield from islice(steps, iterations - 1)
 
 
 def simulate(

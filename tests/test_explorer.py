@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -251,9 +252,10 @@ class TestExploreLimits:
         assert dtmc.num_states == 14 and dtmc.sink_id == 13
 
     def test_chain_freed_without_the_cycle_collector(self):
-        # The merge context reads the states through its path provider; a
-        # reference cycle through it would keep every state alive until the
-        # collector runs, long after the chain itself is dropped.
+        # Merging keeps a context and one trajectory per branch beside the
+        # states; a reference cycle through them would keep every state
+        # alive until the collector runs, long after the chain itself is
+        # dropped.
         game = complex_coordination(n=2)
         learner = initial_state("gfp", game,
                                 random_initial_weights(game, [5, 0]),
@@ -308,7 +310,8 @@ class TestExploreLimits:
     )
     def test_rejects_prob_floor_outside_unit_interval(self, floor):
         # A floor of 1 or more, or NaN, prunes every first-step branch.
-        with pytest.raises(ValueError, match="prob_floor"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"prob_floor must be in [0, 1), got {floor}")):
             ExploreConfig(prob_floor=floor)
 
     def test_learner_game_mismatch(self, simple_game, shapley_game,

@@ -339,8 +339,9 @@ def test_batched_observe_equals_unbatched_rows(algorithm, game_name):
     # A batch row is stepped by the same float operations as the state on
     # its own, so they agree exactly; expected rewards go through another
     # BLAS call and agree to rounding, and each row's best response is the
-    # joint action the unbatched step picks.  The simulator steps batches
-    # with this kernel, the explorer single states.
+    # joint action the unbatched step picks.  The simulator and a merge-off
+    # explorer step batches with this kernel, a merging explorer single
+    # states.
     rng = np.random.default_rng(7)
     game = smcl.shapley() if game_name == "shapley" \
         else three_player_game(rng)

@@ -9,6 +9,7 @@ it pair by pair.
 """
 
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from smcl import (
     ExploreConfig,
+    Game,
     complex_coordination,
     explore,
     initial_state,
@@ -37,6 +39,14 @@ GAMES = {
     "banded2": lambda: complex_coordination(n=2),
     "banded3": lambda: complex_coordination(n=3),
 }
+# Without merging, every first-step branch is also checked on a random
+# three-player game.
+ALL_GAMES = {
+    **GAMES,
+    "three_player": lambda: Game(
+        (2, 3, 2), np.random.default_rng(232).uniform(0, 1, size=(3, 12))
+    ),
+}
 CONFIGS = [
     ExploreConfig(max_depth=50, tau0=1.0),
     ExploreConfig(max_depth=50, tau0=0.3, prob_floor=1e-3),
@@ -45,17 +55,23 @@ CONFIGS = [
 ]
 
 
-def assert_same_chain(got, want, want_out):
+def assert_same_chain(got, want, want_out, atol=0.0):
     """``got`` equals the reference chain ``want``, whose per-state
-    transition lists are ``want_out``."""
+    transition lists are ``want_out``; expected rewards may differ by
+    ``atol``."""
     assert got.num_states == want.num_states
     for a, b in zip(got.states, want.states):
-        assert (a.id, a.depth, a.parent_id, a.pure_action) \
-            == (b.id, b.depth, b.parent_id, b.pure_action)
+        assert (a.id, a.depth, a.parent_id, a.pure_action,
+                a.predecessor_pure_action) \
+            == (b.id, b.depth, b.parent_id, b.pure_action,
+                b.predecessor_pure_action)
         if a.id == want.sink_id:
             continue
+        for name in ("weights", "norms", "lams", "dweights", "dnorms"):
+            assert np.array_equal(getattr(a.learner, name),
+                                  getattr(b.learner, name)), (a.id, name)
         for x, y in zip(a.expected_rewards, b.expected_rewards):
-            assert np.array_equal(x, y)
+            assert np.allclose(x, y, rtol=0, atol=atol), a.id
     for sid in range(got.num_states):
         assert got.out(sid) == want_out[sid], sid
     assert (got.successor, got.start) == (want.successor, want.start)
@@ -65,7 +81,7 @@ def assert_same_chain(got, want, want_out):
 
 
 def cases(game_name, algo, inits=2):
-    game = GAMES[game_name]()
+    game = ALL_GAMES[game_name]()
     for k in range(inits):
         weights = random_initial_weights(game, seed=[31, k])
         yield game, initial_state(algo, game, weights, **ALGOS[algo])
@@ -86,6 +102,23 @@ def test_index_matches_reference_scan(game_name, algo, monkeypatch):
                 assert_same_chain(got, want, want_out)
             merges += len(want.merge_events)
     assert merges > 0
+
+
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+@pytest.mark.parametrize("game_name",
+                         ["simple", "shapley", "banded2", "three_player"])
+def test_merge_off_chain_matches_per_state_stepping(game_name, algo):
+    # Without merging, explore steps every first-step branch as one batch per
+    # level, and the reference scan steps each state on its own.  Learner
+    # arrays agree exactly; expected rewards go through another BLAS call
+    # and agree to rounding.
+    for game, learner in cases(game_name, algo):
+        for cfg in CONFIGS:
+            cfg = replace(cfg, merge_enabled=False)
+            want, want_out, _ = reference_explore(game, learner, cfg)
+            got = explore(game, learner, cfg)
+            assert got.sink_id is not None and not got.merge_events
+            assert_same_chain(got, want, want_out, atol=1e-14)
 
 
 @cache

@@ -53,6 +53,21 @@ class TestRunCheck:
             "PureNashPareto", "PureNashPareto", "RewardlessCycle"
         ]
 
+    @pytest.mark.parametrize("merge_enabled, max_depth, truncated", [
+        (True, 100, False), (True, 3, True), (False, 6, True),
+    ])
+    def test_depth_last_state_is_deepest_non_sink_state(
+        self, simple_game, toy_weights, merge_enabled, max_depth, truncated
+    ):
+        config = RunConfig(algorithm="fp", tau0=1.0, max_depth=max_depth,
+                           merge_enabled=merge_enabled)
+        record, dtmc = smcl.report.check_single(config, simple_game,
+                                                toy_weights)
+        assert record.ok and dtmc.truncated == truncated
+        assert record.depth_last_state == max(
+            s.depth for s in dtmc.states if s.id != dtmc.sink_id
+        )
+
     def test_failed_run_recorded_and_batch_continues(
         self, simple_game, toy_weights
     ):
